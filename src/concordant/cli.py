@@ -33,6 +33,7 @@ from .errors import (
     ConditionFailure,
     DegenerateKernel,
     EffortExhausted,
+    FactorizationIncomplete,
     InvalidArgument,
     NoSolution,
     NotNormalized,
@@ -211,8 +212,9 @@ def run_solve(
             except EffortExhausted as exc:
                 last_exhaustion = exc
                 continue
-            except (NoSolution, DegenerateKernel) as exc:
-                # a provably empty or degenerate space: move to the next class
+            except (NoSolution, DegenerateKernel, FactorizationIncomplete) as exc:
+                # a provably empty or degenerate space, or one whose square
+                # factors outran the factoring budget: move to the next class
                 last_exhaustion = EffortExhausted(f"{t.as_tuple()}: {exc}")
                 continue
             chosen = t

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InvalidArgument, NotNormalized
+from .errors import InvalidArgument, NotNormalized, VerificationFailure
 from .integers import primitive_normalize, squarefree_part
 
 
@@ -232,7 +232,8 @@ class ConcordantCurve:
         w2 = -u * (y * y + m * v * v)
         w3 = -v * (y * y + n * u * u)
         quad = primitive_normalize((w0, w1, w2, w3))
-        assert self.on_quadrics(quad)
+        if not self.on_quadrics(quad):
+            raise VerificationFailure(f"{quad} misses the quadrics of ({m}, {n})")
         return quad
 
     def square_classes(self, p: CurvePoint) -> tuple[int, int, int]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import ConcordantCurve, CurvePoint
-from .errors import InvalidArgument
+from .errors import InvalidArgument, VerificationFailure
 from .integers import is_perfect_square, squarefree_part
 from .quadforms import TernaryForm, legendre_solvable, reduce_to_legendre
 
@@ -280,10 +280,11 @@ def lift_solution(
     if vd == 0:
         raise InvalidArgument("d = 0 lifts to a 2-torsion point")
     root = is_perfect_square(t.a * t.b * t.c)
-    assert root is not None
+    if root is None:
+        raise VerificationFailure(f"ABC of {t.as_tuple()} is not a square")
     x = Fraction(t.b * vb * vb, vd * vd)
     y = Fraction(root * va * vb * vc, vd**3)
     point = CurvePoint(x, y)
-    curve = ConcordantCurve(m, n)
-    assert curve.contains(point)
+    if not ConcordantCurve(m, n).contains(point):
+        raise VerificationFailure(f"lift of {solution} misses the curve ({m}, {n})")
     return point

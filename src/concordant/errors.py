@@ -47,6 +47,11 @@ class NotNormalized(ConcordantError):
     """Curve coefficients do not admit the (p, q, k) decomposition."""
 
 
+class VerificationFailure(ConcordantError):
+    """A computed result failed the exact re-check of the equations it must
+    satisfy; this signals a defect, never a property of the input."""
+
+
 class StageMismatch(ConcordantError):
     """A replayed pipeline stage disagreed with the recorded expectation."""
 

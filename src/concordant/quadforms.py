@@ -11,10 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .errors import DegenerateForm, EffortExhausted, InvalidArgument, NoSolution, NotBiquadratic
+from .errors import (
+    DegenerateForm,
+    EffortExhausted,
+    InvalidArgument,
+    NoSolution,
+    NotBiquadratic,
+    VerificationFailure,
+)
 from .integers import (
     factorize,
     is_perfect_square,
@@ -64,53 +70,35 @@ class TernaryForm:
 
 @dataclass(frozen=True)
 class LegendreForm:
-    """Diagonal a*X^2 + b*Y^2 + c*Z^2 with abc squarefree, plus the rational
-    matrix taking its solutions back to solutions of the source form."""
+    """Diagonal a*X^2 + b*Y^2 + c*Z^2 with abc squarefree, plus the integer
+    divisors (r0, r1, r2): a root p of this form gives the root
+    (p0/r0, p1/r1, p2/r2) of the source form."""
 
     a: int
     b: int
     c: int
-    back_map: tuple[tuple[Fraction, ...], ...]
+    scales: Triple = (1, 1, 1)
 
     @property
     def coefficients(self) -> Triple:
         return (self.a, self.b, self.c)
 
     def map_back(self, point: Triple) -> Triple:
-        vec = [sum(row[j] * point[j] for j in range(3)) for row in self.back_map]
-        lcm = 1
-        for f in vec:
-            lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-        return primitive_normalize(tuple(int(f * lcm) for f in vec))
-
-
-def _mat_mul(m, n):
-    return tuple(
-        tuple(sum(m[i][k] * n[k][j] for k in range(3)) for j in range(3)) for i in range(3)
-    )
-
-
-_IDENT = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
-
-
-def _scale_col(mat, j, factor):
-    # variable substitution X_j -> factor * X_j in the form means the
-    # back-map picks up a 1/factor on that coordinate
-    scale = [[Fraction(int(i == k)) for k in range(3)] for i in range(3)]
-    scale[j][j] = Fraction(1, factor)
-    return _mat_mul(mat, tuple(tuple(r) for r in scale))
+        r0, r1, r2 = self.scales
+        return primitive_normalize((point[0] * r1 * r2, point[1] * r0 * r2, point[2] * r0 * r1))
 
 
 def reduce_to_legendre(form: TernaryForm) -> LegendreForm:
     """Rewrite a diagonal form so the three coefficients are squarefree and
     pairwise coprime.  |abc| strictly decreases at every rewrite, so this
-    terminates; the back map is accumulated as a rational diagonal matrix."""
+    terminates.  Every rewrite substitutes X_i -> r*X_i for one or two
+    coordinates, so the back map is three integer divisors, kept in `scales`."""
     if not form.is_diagonal:
         raise InvalidArgument("reduce_to_legendre needs a diagonal form")
     coeffs = list(form.diagonal())
     if any(c == 0 for c in coeffs):
         raise InvalidArgument("zero diagonal coefficient")
-    back = _IDENT
+    scales = [1, 1, 1]
     while True:
         g = vector_content(coeffs)
         if g > 1:
@@ -121,29 +109,22 @@ def reduce_to_legendre(form: TernaryForm) -> LegendreForm:
             s, r = squarefree_part(coeffs[i])
             if r > 1:
                 coeffs[i] = s
-                back = _scale_col(back, i, r)
+                scales[i] *= r
                 changed = True
         if changed:
             continue
-        for i in range(3):
-            for j in range(i + 1, 3):
-                g = math.gcd(coeffs[i], coeffs[j])
-                if g > 1:
-                    p = factorize(g).factors[0][0]
-                    k = 3 - i - j
-                    coeffs[i] //= p
-                    coeffs[j] //= p
-                    coeffs[k] *= p
-                    back = _scale_col(back, i, p)
-                    back = _scale_col(back, j, p)
-                    changed = True
-                    break
-            if changed:
-                break
-        if not changed:
+        shared = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if math.gcd(coeffs[i], coeffs[j]) > 1]
+        if not shared:
             break
+        i, j = shared[0]
+        p = factorize(math.gcd(coeffs[i], coeffs[j])).factors[0][0]
+        coeffs[i] //= p
+        coeffs[j] //= p
+        coeffs[3 - i - j] *= p
+        scales[i] *= p
+        scales[j] *= p
     a, b, c = coeffs
-    return LegendreForm(a, b, c, back)
+    return LegendreForm(a, b, c, tuple(scales))
 
 
 def _is_residue(a: int, m: int) -> bool:
@@ -175,28 +156,14 @@ def legendre_solvable(form: LegendreForm) -> bool:
     )
 
 
-def _diagonalize(form: TernaryForm) -> tuple[TernaryForm, tuple[tuple[Fraction, ...], ...]]:
-    """Clear the cross term by completing the square; returns the diagonal
-    form and the rational matrix sending its solutions to the original's."""
+def diagonal_model(form: TernaryForm) -> TernaryForm:
+    """The form itself when diagonal; otherwise the cross term is cleared by
+    completing the square: 4*a00*F = U^2 + (4*a00*a11 - a01^2)*X1^2 +
+    4*a00*a22*X2^2 with U = 2*a00*X0 + a01*X1."""
     if form.is_diagonal:
-        return form, _IDENT
+        return form
     a00, a01, a11, a22 = form.coefficients
-    # 4*a00*F = U^2 + (4*a00*a11 - a01^2)*X1^2 + 4*a00*a22*X2^2, U = 2*a00*X0 + a01*X1
-    diag = TernaryForm(1, 0, 4 * a00 * a11 - a01 * a01, 4 * a00 * a22)
-    back = (
-        (Fraction(1, 2 * a00), Fraction(-a01, 2 * a00), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-    )
-    return diag, back
-
-
-def _apply_rational(mat, point):
-    vec = [sum(row[j] * point[j] for j in range(3)) for row in mat]
-    lcm = 1
-    for f in vec:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    return primitive_normalize(tuple(int(f * lcm) for f in vec))
+    return TernaryForm(1, 0, 4 * a00 * a11 - a01 * a01, 4 * a00 * a22)
 
 
 def find_conic_point(form: TernaryForm, max_evaluations: int = 20_000_000) -> Triple:
@@ -204,50 +171,77 @@ def find_conic_point(form: TernaryForm, max_evaluations: int = 20_000_000) -> Tr
     reduced diagonal model, searched exhaustively inside the Holzer box and
     mapped back to the original coordinates.
 
+    Each max-norm shell m is scanned in O(m) steps by solving for one
+    coordinate with isqrt, so a box of side B costs O(B^2) plain-integer
+    steps.  The map back uses the integer divisors of reduce_to_legendre and,
+    for a cross term, undoes U = 2*a00*X0 + a01*X1.
+
     Raises NoSolution when the criterion rules the form out, EffortExhausted
-    when the Holzer box is larger than max_evaluations.
+    when the Holzer box holds more than max_evaluations points.  The policy
+    counts every point of the box, not the steps the scan takes.
     """
     if form.a00 == 0:
         return (1, 0, 0)
-    diag, unmix = _diagonalize(form)
-    red = reduce_to_legendre(diag)
+    red = reduce_to_legendre(diagonal_model(form))
     if not legendre_solvable(red):
         raise NoSolution(f"{form.coefficients} has no rational points")
     a, b, c = red.coefficients
-    bound0 = math.isqrt(abs(b * c))
-    bound1 = math.isqrt(abs(a * c))
-    bound2 = math.isqrt(abs(a * b))
-    volume = (2 * bound0 + 1) * (2 * bound1 + 1) * (2 * bound2 + 1)
+    bounds = (math.isqrt(abs(b * c)), math.isqrt(abs(a * c)), math.isqrt(abs(a * b)))
+    volume = math.prod(2 * bound + 1 for bound in bounds)
     if volume > max_evaluations:
         raise EffortExhausted(f"Holzer box of {volume} points exceeds the policy")
-    bounds = (bound0, bound1, bound2)
     for m in range(1, max(bounds) + 1):
         hit = _scan_shell(red.coefficients, bounds, m)
         if hit is not None:
-            point = red.map_back(hit)
-            return _apply_rational(unmix, point)
+            u, x1, x2 = red.map_back(hit)
+            if form.is_diagonal:
+                return (u, x1, x2)
+            a00, a01 = form.a00, form.a01
+            return primitive_normalize((u - a01 * x1, 2 * a00 * x1, 2 * a00 * x2))
     raise NoSolution(f"exhausted Holzer box of {form.coefficients}")
 
 
+def _roots(t: int, coef: int, limit: int) -> tuple[int, ...]:
+    # every x with t + coef*x^2 == 0 and |x| <= limit, ascending
+    if t % coef:
+        return ()
+    v = -t // coef
+    if v < 0:
+        return ()
+    r = math.isqrt(v)
+    if r * r != v or r > limit:
+        return ()
+    return (-r, r) if r else (0,)
+
+
 def _scan_shell(coeffs: Triple, bounds: Triple, m: int) -> Optional[Triple]:
-    # lexicographically first root on the max-norm-m shell of the Holzer box
+    # lexicographically first primitive root on the max-norm-m shell of the
+    # Holzer box; one coordinate is solved for, never looped over
     a, b, c = coeffs
     b0, b1, b2 = bounds
+    lim1, lim2 = min(b1, m), min(b2, m)
+    bm, cm = b * m * m, c * m * m
     for x0 in range(max(-b0, -m), min(b0, m) + 1):
-        edge0 = abs(x0) == m
         t0 = a * x0 * x0
-        for x1 in range(max(-b1, -m), min(b1, m) + 1):
-            edge1 = edge0 or abs(x1) == m
-            t1 = t0 + b * x1 * x1
-            if edge1:
-                x2_range = range(max(-b2, -m), min(b2, m) + 1)
-            elif b2 < m:
-                continue
-            else:
-                x2_range = (-m, m) if m <= b2 else ()
-            for x2 in x2_range:
-                if t1 + c * x2 * x2 == 0 and math.gcd(math.gcd(x0, x1), x2) == 1:
-                    return (x0, x1, x2)
+        if abs(x0) == m:
+            # a face: every (x1, x2) of the box with max-norm <= m
+            roots = [
+                (x1, x2)
+                for x1 in range(-lim1, lim1 + 1)
+                for x2 in _roots(t0 + b * x1 * x1, c, lim2)
+            ]
+        else:
+            # max(|x1|, |x2|) == m: the x1 = +-m edges, then x2 = +-m, |x1| < m
+            roots = []
+            if m <= b1:
+                x2s = _roots(t0 + bm, c, lim2)
+                roots += [(x1, x2) for x1 in (-m, m) for x2 in x2s]
+            if m <= b2:
+                x1s = _roots(t0 + cm, b, min(b1, m - 1))
+                roots += [(x1, x2) for x2 in (-m, m) for x1 in x1s]
+        for x1, x2 in sorted(roots):
+            if math.gcd(math.gcd(x0, x1), x2) == 1:
+                return (x0, x1, x2)
     return None
 
 
@@ -398,7 +392,8 @@ def parametrize_conic(form: TernaryForm, base: Triple) -> ConicParametrization:
     rows = _projection_rows(form, base)
     canon = _canonicalize_rows(rows)
     param = ConicParametrization(canon, tuple(base), form)
-    assert param.is_valid()
+    if not param.is_valid():
+        raise VerificationFailure(f"parametrization from {base} misses {form.coefficients}")
     return param
 
 
@@ -408,7 +403,8 @@ def raw_parametrization(form: TernaryForm, base: Triple) -> ConicParametrization
         raise InvalidArgument(f"{base} is not on {form.coefficients}")
     rows = _projection_rows(form, base)
     param = ConicParametrization(tuple(tuple(r) for r in rows), tuple(base), form)
-    assert param.is_valid()
+    if not param.is_valid():
+        raise VerificationFailure(f"projection from {base} misses {form.coefficients}")
     return param
 
 
@@ -432,16 +428,6 @@ class QuarticForm:
     @property
     def quartic_coefficients(self) -> tuple[int, int, int, int, int]:
         return (self.b40, self.b31, self.b22, self.b13, self.b04)
-
-    def quartic_value(self, s: int, t: int) -> int:
-        s2, st, t2 = s * s, s * t, t * t
-        return (
-            self.b40 * s2 * s2
-            + self.b31 * s2 * st
-            + self.b22 * s2 * t2
-            + self.b13 * st * t2
-            + self.b04 * t2 * t2
-        )
 
 
 def substitute_into_partner(

@@ -21,9 +21,11 @@ from typing import Optional, Sequence
 from .descent import HomogeneousSpace
 from .errors import (
     ConditionFailure,
+    DegenerateForm,
     DegenerateKernel,
     EffortExhausted,
     InvalidArgument,
+    VerificationFailure,
 )
 from .integers import (
     RadiusSchedule,
@@ -37,6 +39,7 @@ from .quadforms import (
     ConicParametrization,
     TernaryForm,
     biquadratic_to_ternary,
+    diagonal_model,
     find_conic_point,
     legendre_solvable,
     parametrize_conic,
@@ -451,21 +454,13 @@ def _coprime_pattern_ok(psi: ConicParametrization, mu: int) -> bool:
 
 def _scaled_rows_solvable(psi: ConicParametrization, mu: int) -> bool:
     for i in (0, 1):
-        r = psi.rows[i]
         try:
-            form = TernaryForm(r[0], r[1], r[2], -mu)
-        except Exception:
+            form = scaled_square_conic(psi.rows[i], mu)
+        except DegenerateForm:
             return False
-        if not legendre_solvable(reduce_to_legendre(_diagonal_model(form))):
+        if not legendre_solvable(reduce_to_legendre(diagonal_model(form))):
             return False
     return True
-
-
-def _diagonal_model(form: TernaryForm) -> TernaryForm:
-    if form.is_diagonal:
-        return form
-    a00, a01, a11, a22 = form.coefficients
-    return TernaryForm(1, 0, 4 * a00 * a11 - a01 * a01, 4 * a00 * a22)
 
 
 def scaled_square_conic(row: Triple, mu: int) -> TernaryForm:
@@ -734,16 +729,21 @@ def back_substitute(
     z = st.gamma(*rho)
     zvec = (z[0], z[1], z[2], sigma1)
     y = tuple(psi.evaluate_row(i, z[0], z[1]) for i in range(3))
-    assert y[0] == mu * z[2] * z[2]
-    assert y[1] == mu * sigma1 * sigma1
+    if y[0] != mu * z[2] * z[2]:
+        raise VerificationFailure(f"rho={rho}: psi row 0 is not mu*Z2^2")
+    if y[1] != mu * sigma1 * sigma1:
+        raise VerificationFailure(f"rho={rho}: psi row 1 is not mu*sigma1^2")
     xi0 = is_perfect_square(mu * y[0])
     xi1 = is_perfect_square(mu * y[1])
-    assert xi0 is not None and xi1 is not None
+    if xi0 is None or xi1 is None:
+        raise VerificationFailure(f"rho={rho}: mu*Y0 or mu*Y1 is not a square")
     x0, x1, x2 = phi(xi0, xi1)
     x3 = mu * y[2]
     quadruple = primitive_normalize((x0, x1, x2, x3))
     a00, a11, a22 = sel.q1
     b00, b11, b33 = sel.q2
-    assert a00 * quadruple[0] ** 2 + a11 * quadruple[1] ** 2 + a22 * quadruple[2] ** 2 == 0
-    assert b00 * quadruple[0] ** 2 + b11 * quadruple[1] ** 2 + b33 * quadruple[3] ** 2 == 0
+    if a00 * quadruple[0] ** 2 + a11 * quadruple[1] ** 2 + a22 * quadruple[2] ** 2 != 0:
+        raise VerificationFailure(f"{quadruple} misses Q1 {sel.q1}")
+    if b00 * quadruple[0] ** 2 + b11 * quadruple[1] ** 2 + b33 * quadruple[3] ** 2 != 0:
+        raise VerificationFailure(f"{quadruple} misses Q2 {sel.q2}")
     return quadruple, zvec, y

@@ -1,9 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from concordant.quadforms import TernaryForm
+from concordant.errors import EffortExhausted, NoSolution
+from concordant.integers import factorize, primitive_normalize, squarefree_part
+from concordant.quadforms import LegendreForm, TernaryForm, diagonal_model, legendre_solvable
 
 
 def brute_legendre_solvable(a: int, b: int, c: int) -> bool:
@@ -33,6 +36,118 @@ def brute_legendre_solvable(a: int, b: int, c: int) -> bool:
             if r * r == v and (xi, xj, r) != (0, 0, 0):
                 return True
     return False
+
+
+_FRACTION_IDENT = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
+
+
+def oracle_map_back(mat, point):
+    """Apply a rational 3x3 matrix and return the primitive integer point."""
+    vec = [sum(row[j] * point[j] for j in range(3)) for row in mat]
+    lcm = 1
+    for f in vec:
+        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
+    return primitive_normalize(tuple(int(f * lcm) for f in vec))
+
+
+def oracle_reduce_to_legendre(form: TernaryForm):
+    """Legendre reduction that carries the back map as a 3x3 Fraction matrix,
+    one diagonal rescaling matrix product per rewrite.  Returns the reduced
+    coefficients and the matrix."""
+
+    def mat_mul(m, n):
+        return tuple(
+            tuple(sum(m[i][k] * n[k][j] for k in range(3)) for j in range(3)) for i in range(3)
+        )
+
+    def scale_col(mat, j, factor):
+        scale = [[Fraction(int(i == k)) for k in range(3)] for i in range(3)]
+        scale[j][j] = Fraction(1, factor)
+        return mat_mul(mat, tuple(tuple(r) for r in scale))
+
+    coeffs = list(form.diagonal())
+    back = _FRACTION_IDENT
+    while True:
+        g = math.gcd(math.gcd(coeffs[0], coeffs[1]), coeffs[2])
+        if g > 1:
+            coeffs = [c // g for c in coeffs]
+            continue
+        changed = False
+        for i in range(3):
+            s, r = squarefree_part(coeffs[i])
+            if r > 1:
+                coeffs[i] = s
+                back = scale_col(back, i, r)
+                changed = True
+        if changed:
+            continue
+        for i in range(3):
+            for j in range(i + 1, 3):
+                g = math.gcd(coeffs[i], coeffs[j])
+                if g > 1:
+                    p = factorize(g).factors[0][0]
+                    coeffs[i] //= p
+                    coeffs[j] //= p
+                    coeffs[3 - i - j] *= p
+                    back = scale_col(back, i, p)
+                    back = scale_col(back, j, p)
+                    changed = True
+                    break
+            if changed:
+                break
+        if not changed:
+            return tuple(coeffs), back
+
+
+def _oracle_scan_shell(coeffs, bounds, m):
+    # loops over all three coordinates of the shell: O(m^2) per shell
+    a, b, c = coeffs
+    b0, b1, b2 = bounds
+    for x0 in range(max(-b0, -m), min(b0, m) + 1):
+        edge0 = abs(x0) == m
+        t0 = a * x0 * x0
+        for x1 in range(max(-b1, -m), min(b1, m) + 1):
+            edge1 = edge0 or abs(x1) == m
+            t1 = t0 + b * x1 * x1
+            if edge1:
+                x2_range = range(max(-b2, -m), min(b2, m) + 1)
+            elif b2 < m:
+                continue
+            else:
+                x2_range = (-m, m)
+            for x2 in x2_range:
+                if t1 + c * x2 * x2 == 0 and math.gcd(math.gcd(x0, x1), x2) == 1:
+                    return (x0, x1, x2)
+    return None
+
+
+def oracle_find_conic_point(form: TernaryForm, max_evaluations: int = 20_000_000):
+    """find_conic_point with a cubic shell scan over the whole Holzer box and
+    the Fraction back maps: the reference for the integer conic layer."""
+    if form.a00 == 0:
+        return (1, 0, 0)
+    if form.is_diagonal:
+        unmix = _FRACTION_IDENT
+    else:
+        a00, a01 = form.a00, form.a01
+        unmix = (
+            (Fraction(1, 2 * a00), Fraction(-a01, 2 * a00), Fraction(0)),
+            (Fraction(0), Fraction(1), Fraction(0)),
+            (Fraction(0), Fraction(0), Fraction(1)),
+        )
+    coeffs, back = oracle_reduce_to_legendre(diagonal_model(form))
+    if not legendre_solvable(LegendreForm(*coeffs)):
+        raise NoSolution(f"{form.coefficients} has no rational points")
+    a, b, c = coeffs
+    bounds = (math.isqrt(abs(b * c)), math.isqrt(abs(a * c)), math.isqrt(abs(a * b)))
+    volume = (2 * bounds[0] + 1) * (2 * bounds[1] + 1) * (2 * bounds[2] + 1)
+    if volume > max_evaluations:
+        raise EffortExhausted(f"Holzer box of {volume} points exceeds the policy")
+    for m in range(1, max(bounds) + 1):
+        hit = _oracle_scan_shell(coeffs, bounds, m)
+        if hit is not None:
+            return oracle_map_back(unmix, oracle_map_back(back, hit))
+    raise NoSolution(f"exhausted Holzer box of {form.coefficients}")
 
 
 def random_solvable_form(rng: random.Random, with_cross=True, coeff_bound=9):

@@ -43,8 +43,6 @@ from concordant.solver import (
     weak_solve,
 )
 
-IDENT3 = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
-
 
 def _orbit(p, q, k, triplet):
     table = torsion_value_table(p, q, k)
@@ -383,7 +381,7 @@ def _legendre_sweep(bound):
                     continue
                 for sb in (1, -1):
                     for sc in (1, -1):
-                        form = LegendreForm(a, sb * b, sc * c, IDENT3)
+                        form = LegendreForm(a, sb * b, sc * c)
                         fast = legendre_solvable(form)
                         slow = brute_legendre_solvable(a, sb * b, sc * c)
                         assert fast == slow, (a, sb * b, sc * c)

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import concordant
+import concordant.solver
 from concordant.cli import (
     EXIT_EXHAUSTED,
     EXIT_MISMATCH,
@@ -15,7 +21,7 @@ from concordant.cli import (
     run_series,
     run_solve,
 )
-from concordant.errors import EffortExhausted
+from concordant.errors import EffortExhausted, FactorizationIncomplete
 from concordant.fixtures import bundled_fixture_names, load_fixture, parse_fixture
 
 ZAGIER_ARGS = [
@@ -92,6 +98,34 @@ class TestSolveCommand:
         )
         assert code == EXIT_EXHAUSTED
 
+    def test_factoring_budget_counts_as_exhausted(self, monkeypatch, capsys):
+        calls = []
+
+        def over_budget(psi):
+            calls.append(psi)
+            raise FactorizationIncomplete(10**40 + 1, [], 10**40 + 1)
+
+        monkeypatch.setattr(concordant.solver, "extended_square_factors", over_budget)
+        code = main(["solve", "--p", "1", "--q", "3", "--k", "142", "--radius-cap", "100"])
+        assert code == EXIT_EXHAUSTED
+        assert calls
+        assert "effort exhausted" in capsys.readouterr().err
+
+    def test_factoring_budget_moves_to_next_class(self, monkeypatch):
+        real = concordant.solver.extended_square_factors
+        calls = []
+
+        def first_call_over_budget(psi):
+            calls.append(psi)
+            if len(calls) == 1:
+                raise FactorizationIncomplete(10**40 + 1, [], 10**40 + 1)
+            return real(psi)
+
+        monkeypatch.setattr(concordant.solver, "extended_square_factors", first_call_over_budget)
+        report = run_solve(1, 3, 142, radius_cap=500)
+        assert len(calls) > 1
+        assert report["stats"]["method"] == "strong"
+
     def test_invalid_triplet_rejected(self):
         code = main(["solve", "--p", "1", "--q", "1", "--k", "5", "--triplet", "1,2"])
         assert code == EXIT_USAGE
@@ -128,6 +162,36 @@ class TestSolveCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["quadruple"] == ["2352960", "1604507", "-1411786", "-52241"]
         assert report["stats"]["mu"] == "-71"
+
+
+class TestOptimizedInterpreter:
+    """Result checks are explicit raises, so `python -O` keeps them."""
+
+    @staticmethod
+    def _run_optimized(*args):
+        env = {**os.environ, "PYTHONPATH": str(Path(concordant.__file__).parents[1])}
+        return subprocess.run(
+            [sys.executable, "-O", *args], capture_output=True, env=env, timeout=300
+        )
+
+    def test_solve_exits_ok(self):
+        proc = self._run_optimized("-m", "concordant", "solve", "--p", "1", "--q", "1", "--k", "5")
+        assert proc.returncode == EXIT_OK, proc.stderr.decode()
+
+    def test_failed_check_still_raises(self):
+        script = (
+            "from concordant.errors import VerificationFailure\n"
+            "from concordant.quadforms import ConicParametrization, TernaryForm\n"
+            "from concordant.quadforms import parametrize_conic\n"
+            "ConicParametrization.is_valid = lambda self: False\n"
+            "try:\n"
+            "    parametrize_conic(TernaryForm(1, 0, 1, -1), (1, 0, 1))\n"
+            "except VerificationFailure:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        proc = self._run_optimized("-c", script)
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestVerifyCommand:

@@ -1,10 +1,25 @@
 import math
+import random
 
 import pytest
 
-from conftest import brute_legendre_solvable, random_degenerate_base_form, random_solvable_form
+from conftest import (
+    brute_legendre_solvable,
+    oracle_find_conic_point,
+    oracle_map_back,
+    oracle_reduce_to_legendre,
+    random_degenerate_base_form,
+    random_solvable_form,
+)
 
-from concordant.errors import DegenerateForm, InvalidArgument, NoSolution, NotBiquadratic
+from concordant.errors import (
+    ConcordantError,
+    DegenerateForm,
+    EffortExhausted,
+    InvalidArgument,
+    NoSolution,
+    NotBiquadratic,
+)
 from concordant.integers import primitive_normalize
 from concordant.quadforms import (
     ConicParametrization,
@@ -20,8 +35,6 @@ from concordant.quadforms import (
     substitute_into_partner,
     zero_coordinate_point,
 )
-
-IDENT3 = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
 
 
 class TestTernaryForm:
@@ -40,7 +53,7 @@ class TestReduceToLegendre:
     def test_identity_case(self):
         red = reduce_to_legendre(TernaryForm(1, 0, 1, -1))
         assert red.coefficients == (1, 1, -1)
-        assert red.back_map == tuple(tuple(map(lambda v: v, row)) for row in red.back_map)
+        assert red.scales == (1, 1, 1)
 
     def test_square_factor_absorbed(self):
         # absorbing -8 = -2*2^2 leaves (3, -2, 2), whose middle and last
@@ -96,12 +109,25 @@ class TestReduceToLegendre:
             checked += 1
         assert checked >= 20
 
+    def test_matches_fraction_oracle(self, rng):
+        # the integer divisors give the same reduction and the same mapped
+        # points as the Fraction back-map matrix
+        for _ in range(2000):
+            coeffs = [_log_uniform_coefficient(rng, nonzero=True) for _ in range(3)]
+            form = TernaryForm(coeffs[0], 0, coeffs[1], coeffs[2])
+            red = reduce_to_legendre(form)
+            oracle_coeffs, back = oracle_reduce_to_legendre(form)
+            assert red.coefficients == oracle_coeffs, coeffs
+            point = tuple(rng.randint(-50, 50) for _ in range(3))
+            if point != (0, 0, 0):
+                assert red.map_back(point) == oracle_map_back(back, point), (coeffs, point)
+
 
 class TestLegendreSolvable:
     def test_examples(self):
-        assert legendre_solvable(LegendreForm(1, 1, -1, IDENT3))
-        assert not legendre_solvable(LegendreForm(1, 1, 1, IDENT3))
-        assert legendre_solvable(LegendreForm(3, -2, 2, IDENT3))
+        assert legendre_solvable(LegendreForm(1, 1, -1))
+        assert not legendre_solvable(LegendreForm(1, 1, 1))
+        assert legendre_solvable(LegendreForm(3, -2, 2))
         assert brute_legendre_solvable(3, -2, 2)
 
     def test_agreement_small_sweep(self):
@@ -119,7 +145,7 @@ class TestLegendreSolvable:
                         continue
                     for sb in (1, -1):
                         for sc in (1, -1):
-                            form = LegendreForm(a, sb * b, sc * c, IDENT3)
+                            form = LegendreForm(a, sb * b, sc * c)
                             assert legendre_solvable(form) == brute_legendre_solvable(
                                 a, sb * b, sc * c
                             ), (a, sb * b, sc * c)
@@ -174,6 +200,68 @@ class TestFindConicPoint:
             assert abs(x2) <= math.isqrt(abs(a * b))
             checked += 1
         assert checked >= 10
+
+    def test_matches_cubic_oracle(self):
+        # same point or same error as the cubic shell scan with Fraction back
+        # maps; a smaller box policy keeps the cubic scan quick and still
+        # sends a share of the forms down the policy path
+        rng = random.Random(20261017)
+        policy = 1_000_000
+        outcomes = {"point": 0, "NoSolution": 0, "EffortExhausted": 0}
+        forms = 0
+        while forms < 3000:
+            a00, a01, a11, a22 = (_log_uniform_coefficient(rng) for _ in range(4))
+            if forms % 2:
+                a01 = 0
+            try:
+                form = TernaryForm(a00, a01, a11, a22)
+            except DegenerateForm:
+                continue
+            forms += 1
+            expected = _outcome(oracle_find_conic_point, form, policy)
+            assert _outcome(find_conic_point, form, policy) == expected, form
+            outcomes[expected[0] if isinstance(expected[0], str) else "point"] += 1
+        assert outcomes["point"] >= 500
+        assert outcomes["NoSolution"] >= 500
+        assert outcomes["EffortExhausted"] >= 50
+
+    def test_point_lies_on_form_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coeff = st.integers(-12, 12)
+        coord = st.integers(-4, 4)
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(coeff, coeff, coeff, coord, coord)
+        def check(a00, a01, a11, x0, x1):
+            # plant the point (x0, x1, 1), so the form is never ruled out
+            a22 = -(a00 * x0 * x0 + a01 * x0 * x1 + a11 * x1 * x1)
+            hypothesis.assume(a22 != 0 and 4 * a00 * a11 != a01 * a01)
+            form = TernaryForm(a00, a01, a11, a22)
+            try:
+                point = find_conic_point(form)
+            except EffortExhausted:
+                hypothesis.reject()
+            assert form(*point) == 0
+            assert primitive_normalize(point) == point
+
+        check()
+
+
+def _log_uniform_coefficient(rng, nonzero=False):
+    # magnitudes spread evenly over 1..3000 on a log scale, so that small
+    # boxes (points found) and large ones (policy hit) both occur
+    while True:
+        v = rng.randint(-1, 1) * int(3000 ** rng.random())
+        if v or not nonzero:
+            return v
+
+
+def _outcome(search, form, policy):
+    try:
+        return search(form, policy)
+    except ConcordantError as exc:
+        return (type(exc).__name__, str(exc))
 
 
 K23_SPACE_FORMS = [
