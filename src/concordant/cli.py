@@ -41,12 +41,14 @@ from .errors import (
 )
 from .fixtures import Fixture, load_fixture
 from .integers import RadiusSchedule
-from .quadforms import TernaryForm
+from .quadforms import TernaryForm, compose_quartic
 from .solver import (
     StagePins,
+    back_substitute,
     kernel_cross_term,
     parameter_kernel,
     pinned_parametrization,
+    quartic_hit,
     scaled_square_conic,
     select_equation_pair,
     solution_in_space_order,
@@ -55,8 +57,6 @@ from .solver import (
     substituted_conic,
     weak_pair,
     weak_solve,
-    _compose_quartic,
-    _scan_quartic,
 )
 
 EXIT_OK = 0
@@ -548,22 +548,18 @@ def _reproduce_strong(fixture, curve, space, diffs):
     _expect("q4", tuple(fixture["expect_q4"]), q4.coefficients, diffs)
     _expect("q5", tuple(fixture["expect_q5"]), q5.coefficients, diffs)
     gamma = pinned_parametrization(q4, tuple(fixture["pin_base_q4"]), fixture["pin_gamma"])
-    quartic = _compose_quartic(psi.rows[1], gamma)
+    quartic = compose_quartic(psi.rows[1], gamma)
     _expect("quartic", tuple(fixture["expect_quartic"]), quartic, diffs)
     rho = tuple(fixture["pin_rho"])
     val = sum(
         c * rho[0] ** (4 - i) * rho[1] ** i for i, c in enumerate(quartic)
     )
     _expect("val", fixture["expect_val"], val, diffs)
-    hit = _scan_quartic(quartic, mu, [rho], 0)
-    if hit is None:
+    sigma1 = quartic_hit(quartic, mu, *rho)
+    if sigma1 is None:
         raise StageMismatch("rho", "a perfect-square hit", rho)
-    sigma1 = hit[3]
     _expect("sigma1", fixture["expect_sigma1"], sigma1, diffs)
-    from .solver import _MuState, back_substitute
-
-    st = _MuState(mu, q4, q5, tuple(fixture["pin_base_q4"]), gamma, quartic)
-    quadruple, zvec, yvals = back_substitute(phi, psi, st, rho, sigma1, sel)
+    quadruple, zvec, yvals = back_substitute(phi, psi, mu, gamma, rho, sigma1, sel)
     _expect("z", tuple(fixture["expect_z"]), zvec, diffs)
     _expect("y_values", tuple(fixture["expect_y_values"]), yvals, diffs)
     _expect("x", tuple(fixture["expect_x"]), quadruple, diffs)

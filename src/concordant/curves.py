@@ -154,9 +154,6 @@ class ConcordantCurve:
             CurvePoint.affine(-self.n, 0),
         )
 
-    def is_two_torsion(self, p: CurvePoint) -> bool:
-        return p in self.two_torsion()
-
     def is_torsion(self, p: CurvePoint, max_order: int = 12) -> bool:
         """Exact torsion test: the torsion order of a rational point on a
         rational elliptic curve is at most 12, so p is torsion iff some

@@ -44,8 +44,9 @@ class DescentTriplet:
     def __post_init__(self):
         if self.a <= 0:
             raise InvalidArgument("A component must be positive")
-        if squarefree_part(self.a * self.b * self.c)[0] != 1:
-            raise InvalidArgument(f"{self}: product is not a perfect square")
+        product = self.a * self.b * self.c
+        if product == 0 or is_perfect_square(product) is None:
+            raise InvalidArgument(f"{self}: product is not a nonzero perfect square")
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)

@@ -60,10 +60,15 @@ def _spf() -> list[int]:
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to every base of _MR_BASES
+# (399165290221 * 798330580441; Sorenson & Webster, Math. Comp. 86, 2017);
+# below it those bases decide primality
+_MR_BOUND = 318665857834031151167461
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic for n below 3.3e24, 12 fixed bases beyond."""
+    """Miller-Rabin to 12 fixed bases, deterministic below 3.18e23; from there
+    on a strong Lucas test is added, which makes it Baillie-PSW."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -84,7 +89,59 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    # Jacobi symbol (a/n) for odd n > 0
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters (Baillie & Wagstaff,
+    Math. Comp. 35, 1980) for odd n with no factor below 40."""
+    if is_perfect_square(n) is not None:
+        return False
+    d = 5
+    while True:
+        j = _jacobi(d, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    # n + 1 = k * 2^s with k odd; walk U_k, V_k (P = 1) and Q^k mod n
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    u, v, qk = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (d * u + v) % n
+            u = (u + n * (u & 1)) // 2
+            v = (v + n * (v & 1)) // 2
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _brent_rho(n: int, budget: int) -> Optional[int]:
@@ -133,12 +190,6 @@ class Factorization:
         for p, e in self.factors:
             v *= p**e
         return v
-
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)

@@ -349,17 +349,12 @@ def _projection_rows(form: TernaryForm, base: Triple) -> list[list[int]]:
 def _parameter_shrink(rows: list[list[int]], sq_col: int) -> int:
     """Largest d such that replacing the parameter of column sq_col by
     (parameter / d) keeps every coefficient an integer: d^2 must divide the
-    whole squared column and d the whole cross column."""
+    whole squared column and d the whole cross column, that is, d^2 must
+    divide gcd(squared content, cross content^2)."""
     gsq = vector_content([r[sq_col] for r in rows])
     gcross = vector_content([r[1] for r in rows])
-    d, k = 1, 2
-    while k * k <= gsq or (gcross and k <= gcross):
-        while gsq % (k * k) == 0 and gcross % k == 0:
-            d *= k
-            gsq //= k * k
-            gcross //= k
-        k += 1
-    return d
+    h = math.gcd(gsq, gcross * gcross)
+    return squarefree_part(h)[1] if h else 1
 
 
 def _canonicalize_rows(rows: list[list[int]]) -> tuple[Triple, Triple, Triple]:
@@ -430,6 +425,21 @@ class QuarticForm:
         return (self.b40, self.b31, self.b22, self.b13, self.b04)
 
 
+def compose_quartic(form: Triple, param: ConicParametrization) -> tuple[int, int, int, int, int]:
+    """Coefficients of form(row0, row1) as a binary quartic in the parameters
+    of param, s^4 first; form holds the (X0^2, X0*X1, X1^2) coefficients."""
+    g0, g1 = param.rows[0], param.rows[1]
+    acc = [0] * 5
+    for coef, prod in (
+        (form[0], _binary_mul(g0, g0)),
+        (form[1], _binary_mul(g0, g1)),
+        (form[2], _binary_mul(g1, g1)),
+    ):
+        for i in range(5):
+            acc[i] += coef * prod[i]
+    return tuple(acc)
+
+
 def substitute_into_partner(
     param: ConicParametrization, partner: tuple[int, int, int, int]
 ) -> QuarticForm:
@@ -437,18 +447,7 @@ def substitute_into_partner(
     b00*X0^2 + b01*X0*X1 + b11*X1^2 + b33*X3^2; the result is degree 4 in the
     parameters and pure degree 2 in X3."""
     b00, b01, b11, b33 = partner
-    a = param.rows[0]
-    b = param.rows[1]
-    b40 = b00 * a[0] ** 2 + b01 * a[0] * b[0] + b11 * b[0] ** 2
-    b31 = 2 * b00 * a[0] * a[1] + b01 * (a[0] * b[1] + a[1] * b[0]) + 2 * b11 * b[0] * b[1]
-    b22 = (
-        b00 * (2 * a[0] * a[2] + a[1] ** 2)
-        + b01 * (a[0] * b[2] + a[1] * b[1] + a[2] * b[0])
-        + b11 * (2 * b[0] * b[2] + b[1] ** 2)
-    )
-    b13 = 2 * b00 * a[1] * a[2] + b01 * (a[1] * b[2] + a[2] * b[1]) + 2 * b11 * b[1] * b[2]
-    b04 = b00 * a[2] ** 2 + b01 * a[2] * b[2] + b11 * b[2] ** 2
-    return QuarticForm(b40, b31, b22, b13, b04, b33)
+    return QuarticForm(*compose_quartic((b00, b01, b11), param), b33)
 
 
 def biquadratic_to_ternary(quartic: QuarticForm) -> TernaryForm:

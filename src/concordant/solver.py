@@ -13,6 +13,7 @@ split by enumeration index and the earliest hit in enumeration order wins.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from .errors import (
 )
 from .integers import (
     RadiusSchedule,
+    factorize,
     is_perfect_square,
     primitive_normalize,
     shell_pairs,
@@ -39,6 +41,7 @@ from .quadforms import (
     ConicParametrization,
     TernaryForm,
     biquadratic_to_ternary,
+    compose_quartic,
     diagonal_model,
     find_conic_point,
     legendre_solvable,
@@ -121,57 +124,129 @@ def solution_in_space_order(sel: PairSelection, quad: Quad) -> Quad:
 
 
 # ---------------------------------------------------------------------------
-# deterministic parallel scanning
+# the scan kernel
 
-def _scan_weak(rows, b00, b11, b33, skip_zero, tests, offset):
-    for i, (s, t) in enumerate(tests):
-        f0 = rows[0][0] * s * s + rows[0][1] * s * t + rows[0][2] * t * t
-        f1 = rows[1][0] * s * s + rows[1][1] * s * t + rows[1][2] * t * t
-        value = -b33 * (b00 * f0 * f0 + b11 * f1 * f1)
-        if value == 0:
-            continue
-        root = is_perfect_square(value)
-        if root is None:
-            continue
-        if skip_zero:
-            f2 = rows[2][0] * s * s + rows[2][1] * s * t + rows[2][2] * t * t
-            if f0 == 0 or f1 == 0 or f2 == 0:
+# Odd primes of the residue sieve.  Each prime costs a big-int product per
+# run of a shell and halves, roughly, the pairs that reach the exact test;
+# on the series tables 5 and 12 primes both ran slower than these 8.
+SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def quartic_hit(quartic: Sequence[int], mu: int, s: int, t: int) -> Optional[int]:
+    """The exact test of one parameter pair: sigma >= 0 with
+    f(s, t) = mu*sigma^2 != 0 for the binary quartic f (s^4 coefficient
+    first), or None."""
+    b40, b31, b22, b13, b04 = quartic
+    s2 = s * s
+    t2 = t * t
+    st = s * t
+    val = b40 * s2 * s2 + b31 * s2 * st + b22 * s2 * t2 + b13 * st * t2 + b04 * t2 * t2
+    if val == 0:
+        return None
+    root = is_perfect_square(mu * val)
+    if root is None:
+        return None
+    return root // abs(mu)
+
+
+@dataclass(frozen=True)
+class QuarticSieve:
+    """What the kernel scans for: coprime pairs where mu*f(s, t) is a nonzero
+    square and no form of `nonzero` vanishes.  For the i-th sieve prime p,
+    bit t of rows[i][s % p] and bit s of cols[i][t % p] are set when
+    mu*f(s, t) is a square modulo p (0 counts as a square) and s, t are not
+    both divisible by p."""
+
+    quartic: tuple[int, int, int, int, int]
+    mu: int
+    nonzero: tuple[Triple, ...]
+    rows: tuple[tuple[int, ...], ...]
+    cols: tuple[tuple[int, ...], ...]
+
+
+def quartic_sieve(quartic: Sequence[int], mu: int, nonzero=()) -> QuarticSieve:
+    """Residue masks of mu*f for every sieve prime.  f is homogeneous of
+    degree 4, so for t invertible mod p, mu*f(s, t) is a square mod p exactly
+    when mu*f(s/t, 1) is, and for t = 0 when mu*b40 is: p + 1 evaluations per
+    prime."""
+    rows, cols = [], []
+    for p in SIEVE_PRIMES:
+        squares = {x * x % p for x in range(p)}
+        b40, b31, b22, b13, b04 = (mu * c % p for c in quartic)
+        good = [
+            x
+            for x in range(p)
+            if (b40 * x**4 + b31 * x**3 + b22 * x**2 + b13 * x + b04) % p in squares
+        ]
+        axis = b40 in squares
+        row = [0] + [int(axis)] * (p - 1)
+        col = [((1 << p) - 2) * axis]
+        for t in range(1, p):
+            bit, mask = 1 << t, 0
+            for x in good:
+                s = x * t % p
+                mask |= 1 << s
+                row[s] |= bit
+            col.append(mask)
+        rows.append(tuple(row))
+        cols.append(tuple(col))
+    return QuarticSieve(tuple(quartic), mu, tuple(nonzero), tuple(rows), tuple(cols))
+
+
+def scan_shell(sieve: QuarticSieve, r: int) -> Optional[tuple[int, int, int, int]]:
+    """First hit of max-norm shell r in `shell_pairs(r)` order, as (number of
+    coprime shell pairs before it, s, t, sigma), or None.
+
+    The shell is three runs, (-r, 0..r), (-r+1..r-1, r) and (r, 0..r).  Each
+    run's residue masks are tiled to its length and ANDed over the primes;
+    the set bits, walked upward, are the only pairs that reach the exact
+    test.  Every mask is a necessary condition, so the first survivor that
+    passes the test is the first hit of the shell."""
+    side = (1 << (r + 1)) - 1
+    first, middle, last = side, (1 << (2 * r - 1)) - 1, side
+    for p, rep, rows, cols in zip(SIEVE_PRIMES, _repunits(r), sieve.rows, sieve.cols):
+        first &= rows[-r % p] * rep
+        middle &= (cols[r % p] * rep) >> ((1 - r) % p)
+        last &= rows[r % p] * rep
+    for mask, s0, t0, ds, dt in (
+        (first, -r, 0, 0, 1),
+        (middle, 1 - r, r, 1, 0),
+        (last, r, 0, 0, 1),
+    ):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            j = low.bit_length() - 1
+            s, t = s0 + ds * j, t0 + dt * j
+            if math.gcd(s, t) != 1:
                 continue
-        return (offset + i, s, t, root)
+            sigma = quartic_hit(sieve.quartic, sieve.mu, s, t)
+            if sigma is None:
+                continue
+            if any(f[0] * s * s + f[1] * s * t + f[2] * t * t == 0 for f in sieve.nonzero):
+                continue
+            return shell_pairs(r).index((s, t)), s, t, sigma
     return None
 
 
-def _scan_weak_segments(rows, b00, b11, b33, skip_zero, segments):
-    # segments: [(shell radius, enumeration offset), ...]; pairs are
-    # regenerated locally so only shell numbers cross process boundaries
+@functools.lru_cache(maxsize=4)
+def _repunits(r: int) -> tuple[int, ...]:
+    # per sieve prime p, bits 0, p, 2p, ... over at least 2r - 1 + p bits:
+    # a p-bit mask times this tiles it along a run of shell r
+    out = []
+    for p in SIEVE_PRIMES:
+        ones = -(-(2 * r - 1) // p) + 1
+        out.append(((1 << (p * ones)) - 1) // ((1 << p) - 1))
+    return tuple(out)
+
+
+def _scan_segments(sieve: QuarticSieve, segments):
+    # segments: [(shell radius, enumeration offset), ...]; only shell
+    # numbers and the prebuilt sieve cross process boundaries
     for r, off in segments:
-        hit = _scan_weak(rows, b00, b11, b33, skip_zero, shell_pairs(r), off)
+        hit = scan_shell(sieve, r)
         if hit is not None:
-            return hit
-    return None
-
-
-def _scan_quartic(coeffs, mu, tests, offset):
-    b40, b31, b22, b13, b04 = coeffs
-    for i, (s, t) in enumerate(tests):
-        s2 = s * s
-        t2 = t * t
-        st = s * t
-        val = b40 * s2 * s2 + b31 * s2 * st + b22 * s2 * t2 + b13 * st * t2 + b04 * t2 * t2
-        if val == 0:
-            continue
-        root = is_perfect_square(mu * val)
-        if root is None:
-            continue
-        return (offset + i, s, t, root // abs(mu))
-    return None
-
-
-def _scan_quartic_segments(coeffs, mu, segments):
-    for r, off in segments:
-        hit = _scan_quartic(coeffs, mu, shell_pairs(r), off)
-        if hit is not None:
-            return hit
+            return (off + hit[0],) + hit[1:]
     return None
 
 
@@ -180,6 +255,61 @@ def _chunk_segments(segments, parts):
         return []
     chunk = max(1, -(-len(segments) // max(1, parts)))
     return [segments[i : i + chunk] for i in range(0, len(segments), chunk)]
+
+
+def scan_schedule(
+    sieves: Sequence[QuarticSieve], schedule: RadiusSchedule, pool=None, workers: int = 1
+) -> Optional[tuple[int, tuple[int, int], int, int]]:
+    """Round-robin scan of the sieves over the schedule's shells: shell r of
+    sieve i follows shell r of sieves 0..i-1 in the enumeration.  Returns
+    (sieve index, (s, t), sigma, pairs tested up to the hit) for the earliest
+    hit, or None once the schedule is exhausted.
+
+    With a pool, whole waves of (shell, offset) segments are scanned
+    concurrently; segments carry their enumeration offsets, so the earliest
+    hit is identical for any worker count."""
+    offset = 0
+    shells = schedule.shells()
+    if pool is None:
+        for r in shells:
+            size = shell_size(r)
+            for si, sieve in enumerate(sieves):
+                hit = scan_shell(sieve, r)
+                if hit is not None:
+                    return si, (hit[1], hit[2]), hit[3], offset + hit[0] + 1
+                offset += size
+        return None
+
+    wave_target = _PARALLEL_CHUNK * workers * 4
+    parts_per_sieve = max(1, (workers * 4) // len(sieves))
+    exhausted = False
+    while not exhausted:
+        segments = [[] for _ in sieves]
+        total = 0
+        while total < wave_target:
+            r = next(shells, None)
+            if r is None:
+                exhausted = True
+                break
+            size = shell_size(r)
+            for seg in segments:
+                seg.append((r, offset))
+                offset += size
+            total += size * len(sieves)
+        futures = [
+            (si, pool.submit(_scan_segments, sieve, chunk))
+            for si, sieve in enumerate(sieves)
+            for chunk in _chunk_segments(segments[si], parts_per_sieve)
+        ]
+        hits = []
+        for si, fut in futures:
+            h = fut.result()
+            if h is not None:
+                hits.append((h[0], si, h))
+        if hits:
+            idx, si, h = min(hits)
+            return si, (h[1], h[2]), h[3], idx + 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -222,56 +352,33 @@ def weak_solve(
         base = find_conic_point(form)
     phi = parametrize_conic(form, base)
     b00, b11, b33 = q2
-    rows = phi.rows
-    static = (rows, b00, b11, b33, skip_zero_coordinates)
+    sieve = quartic_sieve(
+        compose_quartic((-b33 * b00, 0, -b33 * b11), phi),
+        1,
+        phi.rows if skip_zero_coordinates else (),
+    )
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    wave_target = _PARALLEL_CHUNK * max(1, workers) * 4
     try:
-        offset = 0
-        shells = schedule.shells()
-        exhausted = False
-        while not exhausted:
-            segments = []
-            total = 0
-            while not exhausted and total < wave_target:
-                r = next(shells, None)
-                if r is None:
-                    exhausted = True
-                else:
-                    size = shell_size(r)
-                    segments.append((r, offset))
-                    offset += size
-                    total += size
-            if not segments:
-                break
-            if pool is None:
-                hit = _scan_weak_segments(*static, segments)
-            else:
-                futures = [
-                    pool.submit(_scan_weak_segments, *static, chunk)
-                    for chunk in _chunk_segments(segments, workers * 4)
-                ]
-                hits = [h for h in (f.result() for f in futures) if h is not None]
-                hit = min(hits, key=lambda h: h[0]) if hits else None
-            if hit is not None:
-                idx, s, t, root = hit
-                quad = _weak_quadruple(rows, b33, s, t, root)
-                state = WeakState(base, phi, (s, t), idx + 1)
-                return SearchOutcome(
-                    quad,
-                    "weak",
-                    state,
-                    {
-                        "pairs_tested": idx + 1,
-                        "parameter": (s, t),
-                        "parameter_height": _height_of((s, t)),
-                        "quadruple_height": _height_of(quad),
-                    },
-                )
+        hit = scan_schedule([sieve], schedule, pool, workers)
     finally:
         if pool is not None:
             pool.shutdown()
-    raise EffortExhausted("weak search schedule exhausted")
+    if hit is None:
+        raise EffortExhausted("weak search schedule exhausted")
+    _, (s, t), root, tested = hit
+    quad = _weak_quadruple(phi.rows, b33, s, t, root)
+    state = WeakState(base, phi, (s, t), tested)
+    return SearchOutcome(
+        quad,
+        "weak",
+        state,
+        {
+            "pairs_tested": tested,
+            "parameter": (s, t),
+            "parameter_height": _height_of((s, t)),
+            "quadruple_height": _height_of(quad),
+        },
+    )
 
 
 def _weak_quadruple(rows, b33, s, t, root) -> Quad:
@@ -366,8 +473,6 @@ def _squarefree_divisors(n: int) -> list[int]:
     n = abs(n)
     if n == 1:
         return [1]
-    from .integers import factorize
-
     primes = [p for p, _ in factorize(n).factors]
     divs = [1]
     for p in primes:
@@ -407,8 +512,6 @@ def extended_square_factors(psi: ConicParametrization) -> list[int]:
     res = _binary_resultant(psi.rows[0], psi.rows[1])
     if res == 0:
         raise DegenerateKernel("parametrization rows share a factor")
-    from .integers import factorize
-
     primes = factorize(abs(res)).primes()
     cores = [1]
     for p in primes:
@@ -429,8 +532,6 @@ def _coprime_pattern_ok(psi: ConicParametrization, mu: int) -> bool:
     already close modulo 16."""
     if abs(mu) == 1:
         return True
-    from .integers import factorize
-
     for p in factorize(abs(mu)).primes():
         for i in (0, 1):
             r = psi.rows[i]
@@ -468,23 +569,6 @@ def scaled_square_conic(row: Triple, mu: int) -> TernaryForm:
     return TernaryForm(row[0], row[1], row[2], -mu)
 
 
-def _compose_quartic(psi_row: Triple, gamma: ConicParametrization) -> tuple[int, ...]:
-    """Coefficients of psi_row(gamma0, gamma1) as a quartic in the final
-    parameters."""
-    from .quadforms import _binary_mul
-
-    g0, g1 = gamma.rows[0], gamma.rows[1]
-    acc = [0] * 5
-    for coef, prod in (
-        (psi_row[0], _binary_mul(g0, g0)),
-        (psi_row[1], _binary_mul(g0, g1)),
-        (psi_row[2], _binary_mul(g1, g1)),
-    ):
-        for i in range(5):
-            acc[i] += coef * prod[i]
-    return tuple(acc)
-
-
 @dataclass
 class _MuState:
     mu: int
@@ -502,55 +586,14 @@ def _final_search(
     pool,
 ) -> tuple[int, tuple[int, int], int, int]:
     """Round-robin scan over the per-mu quartics with a shared shell radius;
-    returns (state index, (rho0, rho1), sigma1, enumeration position).
-
-    With workers, whole waves of (shell, state) segments are scanned
-    concurrently; segments carry their enumeration offsets, so the earliest
-    hit is identical for any worker count."""
-    offset = 0
-    if workers <= 1 or pool is None:
-        for r in schedule.shells():
-            pairs = shell_pairs(r)
-            for si, st in enumerate(states):
-                hit = _scan_quartic(st.quartic, st.mu, pairs, offset)
-                if hit is not None:
-                    idx, s, t, sigma1 = hit
-                    return si, (s, t), sigma1, idx + 1
-                offset += len(pairs)
+    returns (state index, (rho0, rho1), sigma1, enumeration position).  The
+    sieve tables are built here, once per state, and travel to the workers
+    with the segments."""
+    sieves = [quartic_sieve(st.quartic, st.mu) for st in states]
+    hit = scan_schedule(sieves, schedule, pool, workers)
+    if hit is None:
         raise EffortExhausted("final search schedule exhausted")
-
-    wave_target = _PARALLEL_CHUNK * workers * 4
-    shells = schedule.shells()
-    parts_per_state = max(1, (workers * 4) // len(states))
-    exhausted = False
-    while not exhausted:
-        segments = [[] for _ in states]
-        total = 0
-        while total < wave_target:
-            r = next(shells, None)
-            if r is None:
-                exhausted = True
-                break
-            size = shell_size(r)
-            for si in range(len(states)):
-                segments[si].append((r, offset))
-                offset += size
-            total += size * len(states)
-        futures = []
-        for si, st in enumerate(states):
-            for chunk in _chunk_segments(segments[si], parts_per_state):
-                futures.append(
-                    (si, pool.submit(_scan_quartic_segments, st.quartic, st.mu, chunk))
-                )
-        hits = []
-        for si, fut in futures:
-            h = fut.result()
-            if h is not None:
-                hits.append((h[0], si, h))
-        if hits:
-            idx, si, h = min(hits)
-            return si, (h[1], h[2]), h[3], idx + 1
-    raise EffortExhausted("final search schedule exhausted")
+    return hit
 
 
 def strong_solve(
@@ -643,7 +686,7 @@ def _strong_chain(space, sel, schedule, workers, pins, mu_override) -> SearchOut
                 gamma = pinned_parametrization(q4, base_q4, pins.gamma_rows)
             else:
                 gamma = parametrize_conic(q4, base_q4)
-            quartic = _compose_quartic(psi.rows[1], gamma)
+            quartic = compose_quartic(psi.rows[1], gamma)
             states.append(_MuState(mu, q4, q5, base_q4, gamma, quartic))
         return states
 
@@ -656,10 +699,10 @@ def _strong_chain(space, sel, schedule, workers, pins, mu_override) -> SearchOut
             s, t = pins.rho
             states = _states_for(rounds[0])
             st = states[0]
-            hit = _scan_quartic(st.quartic, st.mu, [(s, t)], 0)
-            if hit is None:
+            sigma1 = quartic_hit(st.quartic, st.mu, s, t)
+            if sigma1 is None:
                 raise InvalidArgument(f"pinned parameters {pins.rho} are not a hit")
-            si, rho, sigma1, tested = 0, (s, t), hit[3], 1
+            si, rho, tested = 0, (s, t), 1
         else:
             si = None
             for round_no, mus in enumerate(rounds):
@@ -676,7 +719,7 @@ def _strong_chain(space, sel, schedule, workers, pins, mu_override) -> SearchOut
             pool.shutdown()
 
     st = states[si]
-    quadruple, zvec, yvec = back_substitute(phi, psi, st, rho, sigma1, sel)
+    quadruple, zvec, yvec = back_substitute(phi, psi, st.mu, st.gamma, rho, sigma1, sel)
     state = ChainState(
         selection=sel,
         phi=phi,
@@ -718,15 +761,15 @@ def _strong_chain(space, sel, schedule, workers, pins, mu_override) -> SearchOut
 def back_substitute(
     phi: ConicParametrization,
     psi: ConicParametrization,
-    st: _MuState,
+    mu: int,
+    gamma: ConicParametrization,
     rho: tuple[int, int],
     sigma1: int,
     sel: PairSelection,
 ) -> tuple[Quad, Quad, Triple]:
     """Walk a final-loop hit back through the chain to a primitive quadruple
     verified against both renamed quadrics."""
-    mu = st.mu
-    z = st.gamma(*rho)
+    z = gamma(*rho)
     zvec = (z[0], z[1], z[2], sigma1)
     y = tuple(psi.evaluate_row(i, z[0], z[1]) for i in range(3))
     if y[0] != mu * z[2] * z[2]:

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from concordant.errors import EffortExhausted, NoSolution
-from concordant.integers import factorize, primitive_normalize, squarefree_part
+from concordant.integers import (
+    factorize,
+    is_perfect_square,
+    primitive_normalize,
+    shell_pairs,
+    squarefree_part,
+)
 from concordant.quadforms import LegendreForm, TernaryForm, diagonal_model, legendre_solvable
 
 
@@ -148,6 +154,69 @@ def oracle_find_conic_point(form: TernaryForm, max_evaluations: int = 20_000_000
         if hit is not None:
             return oracle_map_back(unmix, oracle_map_back(back, hit))
     raise NoSolution(f"exhausted Holzer box of {form.coefficients}")
+
+
+def oracle_parameter_shrink(rows, sq_col):
+    """The trial-division loop _parameter_shrink replaced; it runs k up to
+    the cross content, so keep that content small."""
+    gsq = math.gcd(*(r[sq_col] for r in rows))
+    gcross = math.gcd(*(r[1] for r in rows))
+    d, k = 1, 2
+    while k * k <= gsq or (gcross and k <= gcross):
+        while gsq % (k * k) == 0 and gcross % k == 0:
+            d *= k
+            gsq //= k * k
+            gcross //= k
+        k += 1
+    return d
+
+
+def oracle_scan_quartic(coeffs, mu, pairs, offset=0):
+    """The per-pair quartic loop the scan kernel replaced: first (index, s, t,
+    sigma) in `pairs` with mu*f(s, t) a nonzero square, f(s, t) = mu*sigma^2."""
+    b40, b31, b22, b13, b04 = coeffs
+    for i, (s, t) in enumerate(pairs):
+        val = b40 * s**4 + b31 * s**3 * t + b22 * s**2 * t**2 + b13 * s * t**3 + b04 * t**4
+        if val == 0:
+            continue
+        root = is_perfect_square(mu * val)
+        if root is None:
+            continue
+        return (offset + i, s, t, root // abs(mu))
+    return None
+
+
+def oracle_scan_weak(rows, b00, b11, b33, skip_zero, pairs, offset=0):
+    """The per-pair weak loop the scan kernel replaced: first pair where
+    -b33*(b00*F0^2 + b11*F1^2) is a nonzero square, optionally skipping pairs
+    where some F_i vanishes."""
+    for i, (s, t) in enumerate(pairs):
+        f = [r[0] * s * s + r[1] * s * t + r[2] * t * t for r in rows]
+        value = -b33 * (b00 * f[0] * f[0] + b11 * f[1] * f[1])
+        if value == 0:
+            continue
+        root = is_perfect_square(value)
+        if root is None:
+            continue
+        if skip_zero and 0 in f:
+            continue
+        return (offset + i, s, t, root)
+    return None
+
+
+def oracle_final_search(quartics_mus, cap):
+    """The serial round-robin loop over shell_pairs: shell r of quartic i
+    follows shell r of quartics 0..i-1.  Returns (quartic index, (s, t),
+    sigma, pairs tested) or None."""
+    offset = 0
+    for r in range(1, cap + 1):
+        pairs = shell_pairs(r)
+        for qi, (quartic, mu) in enumerate(quartics_mus):
+            hit = oracle_scan_quartic(quartic, mu, pairs, offset)
+            if hit is not None:
+                return qi, (hit[1], hit[2]), hit[3], hit[0] + 1
+            offset += len(pairs)
+    return None
 
 
 def random_solvable_form(rng: random.Random, with_cross=True, coeff_bound=9):

@@ -36,8 +36,9 @@ class TestSquareClassAlgebra:
         assert is_perfect_square(t.a * t.b * t.c) is not None
         with pytest.raises(InvalidArgument):
             DescentTriplet(-1, 1, -1)
-        with pytest.raises(InvalidArgument):
-            DescentTriplet(1, 2, 3)
+        for a, b, c in ((1, 2, 3), (1, -2, 2), (1, 0, 2)):
+            with pytest.raises(InvalidArgument):
+                DescentTriplet(a, b, c)
 
 
 class TestGenerators:

@@ -8,6 +8,7 @@ from concordant.integers import (
     coprime_pairs,
     factorize,
     is_perfect_square,
+    is_probable_prime,
     primitive_normalize,
     shell_pairs,
     squarefree_part,
@@ -96,6 +97,54 @@ class TestFactorize:
     def test_semiprime_beyond_table(self):
         p, q = 1_000_003, 1_000_033
         assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def _trial_division_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestPrimality:
+    # strong pseudoprimes to every Miller-Rabin base in use (2..37): the
+    # least such number, and the least that is also one to base 41
+    PSEUDOPRIMES = {
+        318665857834031151167461: ((399165290221, 1), (798330580441, 1)),
+        3317044064679887385961981: ((1287836182261, 1), (2575672364521, 1)),
+    }
+
+    def test_pseudoprimes_to_all_bases_are_composite(self):
+        for n, factors in self.PSEUDOPRIMES.items():
+            assert not is_probable_prime(n), n
+            assert factorize(n).factors == factors, n
+
+    def test_strong_lucas_passes_primes_and_known_pseudoprimes_only(self):
+        from concordant.integers import _strong_lucas_probable_prime
+
+        # strong Lucas pseudoprimes with Selfridge's parameters (OEIS A217255)
+        known = [5459, 5777, 10877, 16109, 18971]
+        passed = [
+            n
+            for n in range(41, 20000, 2)
+            if all(n % p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+            and _strong_lucas_probable_prime(n)
+        ]
+        assert [n for n in passed if not _trial_division_prime(n)] == known
+        assert all(n in passed for n in range(41, 20000, 2) if _trial_division_prime(n))
+
+    def test_small_against_trial_division(self):
+        for n in range(-5, 5000):
+            assert is_probable_prime(n) == _trial_division_prime(n), n
+
+    def test_against_sympy(self, rng):
+        sympy = pytest.importorskip("sympy")
+        cases = [m for n in self.PSEUDOPRIMES for m in (n, sympy.nextprime(n))]
+        for _ in range(400):
+            cases.append(rng.randrange(3, 10 ** rng.randint(2, 60)))
+        for _ in range(100):
+            p = sympy.randprime(10**12, 10**30)
+            q = sympy.randprime(10**12, 10**30)
+            cases += [p, p * q, p * (2 * p - 1)]
+        for n in cases:
+            assert is_probable_prime(n) == sympy.isprime(n), n
 
 
 class TestPrimitiveNormalize:

@@ -7,6 +7,7 @@ from conftest import (
     brute_legendre_solvable,
     oracle_find_conic_point,
     oracle_map_back,
+    oracle_parameter_shrink,
     oracle_reduce_to_legendre,
     random_degenerate_base_form,
     random_solvable_form,
@@ -20,6 +21,7 @@ from concordant.errors import (
     NoSolution,
     NotBiquadratic,
 )
+from concordant import quadforms
 from concordant.integers import primitive_normalize
 from concordant.quadforms import (
     ConicParametrization,
@@ -361,6 +363,24 @@ class TestParametrizeConic:
                     break
             assert solutions <= found
         assert forms >= 4
+
+    def test_parameter_shrink_matches_trial_division(self, rng):
+        # contents built from small prime powers up to 50 000 (the oracle
+        # loops up to the cross content), zero columns included
+        def content():
+            if rng.random() < 0.1:
+                return 0
+            while True:
+                c = math.prod(p ** rng.randint(0, 5) for p in (2, 3, 5, 7, 11))
+                if c <= 50_000:
+                    return c
+
+        for _ in range(2000):
+            gsq, gcross = content(), content()
+            rows = [[gsq * rng.randint(-3, 3), gcross * rng.randint(-3, 3), gsq * rng.randint(-3, 3)]
+                    for _ in range(3)]
+            for sq_col in (0, 2):
+                assert quadforms._parameter_shrink(rows, sq_col) == oracle_parameter_shrink(rows, sq_col)
 
 
 class TestSubstitution:

@@ -1,19 +1,24 @@
 import math
 
 import pytest
+from conftest import oracle_final_search, oracle_scan_quartic, oracle_scan_weak
 
 from concordant.curves import ConcordantCurve
 from concordant.descent import DescentTriplet, build_homogeneous_space, lift_solution
 from concordant.errors import ConditionFailure, EffortExhausted, InvalidArgument
-from concordant.integers import RadiusSchedule, is_perfect_square
-from concordant.quadforms import TernaryForm, parametrize_conic
+from concordant.integers import RadiusSchedule, is_perfect_square, shell_pairs, squarefree_part
+from concordant.quadforms import TernaryForm, compose_quartic, find_conic_point, parametrize_conic
 from concordant.solver import (
+    SIEVE_PRIMES,
     StagePins,
-    _scan_quartic,
     kernel_cross_term,
     parameter_kernel,
     pinned_parametrization,
+    quartic_hit,
+    quartic_sieve,
     scaled_square_conic,
+    scan_schedule,
+    scan_shell,
     select_equation_pair,
     solution_in_space_order,
     square_factor_candidates,
@@ -224,10 +229,7 @@ class TestMiddleStages:
 
 class TestFinalLoop:
     def test_published_hit(self):
-        hit = _scan_quartic(QUARTIC_142, -71, [(20, 3)], 0)
-        assert hit is not None
-        _, s, t, sigma1 = hit
-        assert (s, t, sigma1) == (20, 3, 387)
+        assert quartic_hit(QUARTIC_142, -71, 20, 3) == 387
         val = sum(
             c * 20 ** (4 - i) * 3**i for i, c in enumerate(QUARTIC_142)
         )
@@ -338,3 +340,98 @@ class TestStrongSolve:
             pinned_parametrization(q1, (1, 1, 1), PHI_142)
         with pytest.raises(InvalidArgument):
             pinned_parametrization(q1, (0, 1, 2), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+_SQUAREFREE_MU = (1, -1, 2, -2, 3, -5, 6, -7, 11, -15, 23, -29, 46, -105, 1155, -30030)
+
+
+def _random_quartic(rng):
+    # coefficient sizes from 1 to 10^6 on a log scale: small ones give many
+    # hits, large ones mostly none; some quartics vanish at an axis pair
+    bound = int(10 ** (6 * rng.random() ** 2)) + 1
+    quartic = [rng.randint(-bound, bound) for _ in range(5)]
+    if rng.random() < 0.1:
+        quartic[rng.choice((0, 4))] = 0
+    return tuple(quartic)
+
+
+class TestScanKernel:
+    def test_matches_oracle_on_random_quartics(self, rng):
+        shells = {r: shell_pairs(r) for r in range(1, 41)}
+        hits = 0
+        for _ in range(2000):
+            quartic, mu = _random_quartic(rng), rng.choice(_SQUAREFREE_MU)
+            sieve = quartic_sieve(quartic, mu)
+            for r in range(1, rng.randint(1, 40) + 1):
+                hit = scan_shell(sieve, r)
+                assert hit == oracle_scan_quartic(quartic, mu, shells[r]), (quartic, mu, r)
+                hits += hit is not None
+        assert hits > 500
+
+    def test_n142_every_shell_to_radius_300(self):
+        for mu in (-71, -1):
+            sieve = quartic_sieve(QUARTIC_142, mu)
+            for r in range(1, 301):
+                assert scan_shell(sieve, r) == oracle_scan_quartic(QUARTIC_142, mu, shell_pairs(r))
+
+    def test_round_robin_matches_oracle(self, rng):
+        cases = [[(QUARTIC_142, -1), (QUARTIC_142, -71)], [(QUARTIC_142, -1)]]
+        cases += [
+            [(_random_quartic(rng), rng.choice(_SQUAREFREE_MU)) for _ in range(rng.randint(1, 4))]
+            for _ in range(40)
+        ]
+        for qm in cases:
+            sieves = [quartic_sieve(q, mu) for q, mu in qm]
+            for cap in (1, 20, 60):
+                expected = oracle_final_search(qm, cap)
+                assert scan_schedule(sieves, RadiusSchedule(1, cap)) == expected
+
+    def test_weak_forms_match_oracle(self):
+        forms = [
+            ((3, -8, 2), (1, -2, -142), (0, 1, 2)),
+            ((1, 1, -2), (1, 4, -5), (1, 1, 1)),
+            ((1, 1, -1), (1, 1, -1), None),
+            ((1, 1, -1), (2, 7, -1), None),
+        ]
+        for q1, (b00, b11, b33), base in forms:
+            form = TernaryForm(q1[0], 0, q1[1], q1[2])
+            phi = parametrize_conic(form, base or find_conic_point(form))
+            quartic = compose_quartic((-b33 * b00, 0, -b33 * b11), phi)
+            for skip in (False, True):
+                sieve = quartic_sieve(quartic, 1, phi.rows if skip else ())
+                for r in range(1, 41):
+                    expected = oracle_scan_weak(phi.rows, b00, b11, b33, skip, shell_pairs(r))
+                    assert scan_shell(sieve, r) == expected, (q1, skip, r)
+
+    def test_skip_drops_zero_coordinate_hits(self):
+        # on X0^2 + X1^2 = X2^2 every pair is a hit for X0^2 + X1^2 = X3^2,
+        # and every pair of shell 1 gives a zero coordinate
+        q, schedule = (1, 1, -1), RadiusSchedule(1, 5)
+        kept = weak_solve(q, q, schedule, skip_zero_coordinates=False)
+        skipped = weak_solve(q, q, schedule)
+        assert (kept.quadruple, kept.diagnostics["pairs_tested"]) == ((1, 0, 1, 1), 1)
+        assert (skipped.quadruple, skipped.diagnostics["pairs_tested"]) == ((3, 4, 5, 5), 6)
+
+    def test_square_value_is_never_sieved_out(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coeff = st.integers(-10**6, 10**6)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.tuples(*[coeff] * 5), st.integers(-60, 60), st.integers(0, 60))
+        def check(quartic, s0, t0):
+            hypothesis.assume(math.gcd(s0, t0) == 1)
+            val = sum(c * s0 ** (4 - i) * t0**i for i, c in enumerate(quartic))
+            hypothesis.assume(val != 0)
+            # mu*f(s0, t0) = (mu*r)^2 for the squarefree part mu of f(s0, t0)
+            mu = squarefree_part(val)[0]
+            sieve = quartic_sieve(quartic, mu)
+            for p, rows, cols in zip(SIEVE_PRIMES, sieve.rows, sieve.cols):
+                assert rows[s0 % p] >> (t0 % p) & 1
+                assert cols[t0 % p] >> (s0 % p) & 1
+            r = max(abs(s0), t0)
+            hit = scan_shell(sieve, r)
+            assert hit is not None
+            assert hit[0] <= shell_pairs(r).index((s0, t0))
+
+        check()
