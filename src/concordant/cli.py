@@ -16,10 +16,14 @@ strings; heights are printed with two decimals.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .curves import ConcordantCurve, CurvePoint, log_height, point_log_height
 from .descent import (
@@ -30,7 +34,6 @@ from .descent import (
 )
 from .errors import (
     ConcordantError,
-    ConditionFailure,
     DegenerateKernel,
     EffortExhausted,
     FactorizationIncomplete,
@@ -41,23 +44,7 @@ from .errors import (
 )
 from .fixtures import Fixture, load_fixture
 from .integers import RadiusSchedule
-from .quadforms import TernaryForm, compose_quartic
-from .solver import (
-    StagePins,
-    back_substitute,
-    kernel_cross_term,
-    parameter_kernel,
-    pinned_parametrization,
-    quartic_hit,
-    scaled_square_conic,
-    select_equation_pair,
-    solution_in_space_order,
-    square_factor_candidates,
-    strong_solve,
-    substituted_conic,
-    weak_pair,
-    weak_solve,
-)
+from .solver import SearchOutcome, StagePins, WorkerPool, strong_solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -174,6 +161,51 @@ def _cap_ladder(radius_cap: int) -> list[int]:
     return ladder + [radius_cap]
 
 
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """The one process pool of a run, or None for a serial run."""
+    if workers <= 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        yield WorkerPool(executor, workers)
+
+
+def search_curve(
+    curve: ConcordantCurve,
+    triplets: list[DescentTriplet],
+    ladder: list[int],
+    pins: StagePins | None = None,
+    pool: WorkerPool | None = None,
+) -> tuple[DescentTriplet, SearchOutcome, CurvePoint]:
+    """The class x cap-ladder search: every class is searched at a rung's
+    radius cap before any class gets the next rung.  A class whose search
+    runs out, whose space is provably empty or degenerate, or whose square
+    factors outrun the factoring budget is exhausted at that rung.
+
+    Returns (triplet, outcome, point) for the first hit, the point lifted to
+    the curve and checked there; raises EffortExhausted naming the last
+    failure when every class is exhausted at every rung."""
+    if not triplets:
+        raise EffortExhausted("no surviving descent classes to search")
+    m, n = curve.m, curve.n
+    for cap in ladder:
+        for t in triplets:
+            space = build_homogeneous_space(t, m, n)
+            try:
+                outcome = strong_solve(space, RadiusSchedule(1, cap), pool=pool, pins=pins)
+            except EffortExhausted as exc:
+                last_exhaustion = exc
+                continue
+            except (NoSolution, DegenerateKernel, FactorizationIncomplete) as exc:
+                last_exhaustion = EffortExhausted(f"{t.as_tuple()}: {exc}")
+                continue
+            point = lift_solution(t, m, n, outcome.diagnostics["space_solution"])
+            _verify_point(curve, point)
+            return t, outcome, point
+    raise last_exhaustion
+
+
 def run_solve(
     p: int,
     q: int,
@@ -187,46 +219,15 @@ def run_solve(
     curve = ConcordantCurve.from_pqk(p, q, k)
     m, n = curve.m, curve.n
     if triplet is not None:
-        candidates = [triplet]
-        ladder = [radius_cap]
+        candidates, ladder = [triplet], [radius_cap]
     else:
-        cls = classify(p, q, k)
-        candidates = [c["representative"] for c in cls.surviving_classes]
-        if not candidates:
-            raise EffortExhausted("no surviving descent classes to search")
+        candidates = [c["representative"] for c in classify(p, q, k).surviving_classes]
         ladder = _cap_ladder(radius_cap)
-    last_exhaustion = None
-    outcome = None
-    chosen = None
-    for cap in ladder:
-        for t in candidates:
-            space = build_homogeneous_space(t, m, n)
-            try:
-                outcome = strong_solve(
-                    space,
-                    RadiusSchedule(1, cap),
-                    workers=workers,
-                    pins=pins,
-                    mu_override=mu,
-                )
-            except EffortExhausted as exc:
-                last_exhaustion = exc
-                continue
-            except (NoSolution, DegenerateKernel, FactorizationIncomplete) as exc:
-                # a provably empty or degenerate space, or one whose square
-                # factors outran the factoring budget: move to the next class
-                last_exhaustion = EffortExhausted(f"{t.as_tuple()}: {exc}")
-                continue
-            chosen = t
-            break
-        if outcome is not None:
-            break
-    if outcome is None:
-        raise last_exhaustion or EffortExhausted("search exhausted")
-    t = chosen
+    if mu is not None:
+        pins = dataclasses.replace(pins or StagePins(), mu=mu)
+    with _worker_pool(workers) as pool:
+        t, outcome, point = search_curve(curve, candidates, ladder, pins, pool)
     solution = outcome.diagnostics["space_solution"]
-    point = lift_solution(t, m, n, solution)
-    _verify_point(curve, point)
     concordant = curve.to_quadric(point)
     if curve.quadric_residues(concordant) != (0, 0):
         raise InvalidArgument("concordant quadruple failed re-verification")
@@ -423,51 +424,35 @@ def _series_row(family, p, q, k, t, status, outcome=None, curve=None, point=None
 
 def run_series(family: str, max_k: int, radius_cap: int = 300, workers: int = 1) -> list[dict]:
     rows = []
-    for p, q, k in _family_curves(family, max_k):
-        curve = ConcordantCurve.from_pqk(p, q, k)
-        m, n = curve.m, curve.n
-        if family == "theta96":
-            rows.extend(_theta96_rows(family, p, q, k, curve, radius_cap, workers))
-            continue
-        cls = classify(p, q, k)
-        reps = [c["representative"] for c in cls.surviving_classes]
-        solved = False
-        for cap in _cap_ladder(radius_cap):
-            for t in reps:
-                space = build_homogeneous_space(t, m, n)
-                try:
-                    outcome = strong_solve(space, RadiusSchedule(1, cap), workers=workers)
-                except (EffortExhausted, NoSolution, DegenerateKernel):
-                    continue
-                point = lift_solution(t, m, n, outcome.diagnostics["space_solution"])
-                _verify_point(curve, point)
-                rows.append(_series_row(family, p, q, k, t, "ok", outcome, curve, point))
-                solved = True
-                break
-            if solved:
-                break
-        if not solved:
-            t = reps[0] if reps else DescentTriplet(1, 1, 1)
-            rows.append(_series_row(family, p, q, k, t, "exhausted"))
+    with _worker_pool(workers) as pool:
+        for p, q, k in _family_curves(family, max_k):
+            curve = ConcordantCurve.from_pqk(p, q, k)
+            if family == "theta96":
+                rows.extend(_theta96_rows(family, p, q, k, curve, radius_cap, pool))
+                continue
+            reps = [c["representative"] for c in classify(p, q, k).surviving_classes]
+            try:
+                t, outcome, point = search_curve(curve, reps, _cap_ladder(radius_cap), pool=pool)
+            except EffortExhausted:
+                t = reps[0] if reps else DescentTriplet(1, 1, 1)
+                rows.append(_series_row(family, p, q, k, t, "exhausted"))
+                continue
+            rows.append(_series_row(family, p, q, k, t, "ok", outcome, curve, point))
     return rows
 
 
-def _theta96_rows(family, p, q, k, curve, radius_cap, workers):
+def _theta96_rows(family, p, q, k, curve, radius_cap, pool):
     """The rank-2 family: two independent spaces are searched and the third
     class's point is their elliptic-curve sum."""
-    m, n = curve.m, curve.n
     rows = []
     points = []
     for trip in ((1, 2, 2), (2, -3, -6)):
         t = DescentTriplet(*trip)
-        space = build_homogeneous_space(t, m, n)
         try:
-            outcome = strong_solve(space, RadiusSchedule(1, radius_cap), workers=workers)
+            _, outcome, point = search_curve(curve, [t], [radius_cap], pool=pool)
         except EffortExhausted:
             rows.append(_series_row(family, p, q, k, t, "exhausted"))
             continue
-        point = lift_solution(t, m, n, outcome.diagnostics["space_solution"])
-        _verify_point(curve, point)
         rows.append(_series_row(family, p, q, k, t, "ok", outcome, curve, point))
         points.append(point)
     if len(points) == 2:
@@ -492,12 +477,52 @@ def _expect(stage, expected, actual, diffs):
         raise StageMismatch(stage, expected, actual)
 
 
+def _quartic_value(state):
+    (s, t), quartic = state.rho, state.quartic
+    return sum(c * s ** (4 - i) * t**i for i, c in enumerate(quartic))
+
+
+def _translates(replay, coord) -> set:
+    # one coordinate of the affine torsion translates, the point's own left out
+    values = {coord(pt) for pt in replay.translates if not pt.is_infinity}
+    values.discard(coord(replay.point))
+    return values
+
+
+# (stage, fixture key, value of the replayed solve) in chain order; a stage
+# is compared when the fixture has its key.  A weak fixture pins no sign for
+# the loop's hit, so its point's y is compared up to sign.
+_STAGES = (
+    ("q1", "expect_q1", lambda r: r.state.selection.q1),
+    ("q2", "expect_q2", lambda r: r.state.selection.q2),
+    ("y_conic", "expect_y_conic", lambda r: r.state.y_conic.coefficients),
+    ("kernel", "expect_kernel", lambda r: r.state.kernel),
+    ("cross_term", "expect_cross_term", lambda r: r.state.cross_term),
+    ("mu_candidates", "expect_mu_candidates", lambda r: r.state.mu_candidates),
+    ("q4", "expect_q4", lambda r: r.state.q4.coefficients),
+    ("q5", "expect_q5", lambda r: r.state.q5.coefficients),
+    ("quartic", "expect_quartic", lambda r: r.state.quartic),
+    ("val", "expect_val", lambda r: _quartic_value(r.state)),
+    ("sigma1", "expect_sigma1", lambda r: r.state.sigma1),
+    ("z", "expect_z", lambda r: r.state.z_values),
+    ("y_values", "expect_y_values", lambda r: r.state.y_values),
+    ("x", "expect_x", lambda r: r.state.x_values),
+    ("solution_abs", "expect_solution_abs", lambda r: tuple(abs(v) for v in r.quadruple)),
+    ("point_x", "expect_point_x", lambda r: r.point.x),
+    ("point_y", "expect_point_y", lambda r: r.point.y if r.strong else abs(r.point.y)),
+    ("concordant_abs", "expect_concordant_abs", lambda r: tuple(abs(w) for w in r.concordant)),
+    ("translate_x", "expect_translate_x", lambda r: _translates(r, lambda pt: pt.x)),
+    ("translate_y_abs", "expect_translate_y_abs", lambda r: _translates(r, lambda pt: abs(pt.y))),
+)
+
+
 def run_reproduce(fixture: Fixture) -> dict:
+    """The production solve of the fixture's class with every choice the
+    fixture pins, compared stage by stage with its recorded values."""
     p, q, k = fixture["p"], fixture["q"], fixture["k"]
     curve = ConcordantCurve.from_pqk(p, q, k)
     m, n = curve.m, curve.n
     t = DescentTriplet(*fixture["triplet"])
-    space = build_homogeneous_space(t, m, n)
     diffs: list[dict] = []
     report = {
         "command": "reproduce",
@@ -507,114 +532,38 @@ def run_reproduce(fixture: Fixture) -> dict:
         "stages": diffs,
     }
 
-    for name, form, _vars in space.quadrics():
+    for name, form, _vars in build_homogeneous_space(t, m, n).quadrics():
         key = f"expect_space_{name}"
         if key in fixture:
             _expect(f"space:{name}", tuple(fixture[key]), form.diagonal(), diffs)
 
-    if "pin_phi" in fixture:
-        _reproduce_strong(fixture, curve, space, diffs)
-    else:
-        _reproduce_weak(fixture, curve, space, diffs)
+    _, outcome, point = search_curve(curve, [t], [200], pins_from_fixture(fixture))
+    # a fixture that pins the first parametrization records a strong chain
+    strong = "pin_phi" in fixture
+    method = "strong" if strong else "weak"
+    if outcome.method != method:
+        raise StageMismatch("method", method, outcome.method)
+    if fixture.get("expect_condition_failure"):
+        no_pair = outcome.method == "weak" and "degenerate_kernel" not in outcome.diagnostics
+        actual = "condition-failure" if no_pair else "pair found"
+        _expect("condition", "condition-failure", actual, diffs)
+    replay = SimpleNamespace(
+        strong=strong,
+        state=outcome.state,
+        quadruple=outcome.quadruple,
+        point=point,
+        concordant=curve.to_quadric(point),
+        translates=curve.torsion_translates(point),
+    )
+    for stage, key, value in _STAGES:
+        if key in fixture:
+            actual = value(replay)
+            expected = fixture[key]
+            if isinstance(actual, (tuple, list, set)):
+                expected = type(actual)(expected)
+            _expect(stage, expected, actual, diffs)
     report["ok"] = all(d["ok"] for d in diffs)
     return report
-
-
-def _reproduce_strong(fixture, curve, space, diffs):
-    sel = select_equation_pair(space)
-    _expect("q1", tuple(fixture["expect_q1"]), sel.q1, diffs)
-    _expect("q2", tuple(fixture["expect_q2"]), sel.q2, diffs)
-    q1_form = TernaryForm(sel.q1[0], 0, sel.q1[1], sel.q1[2])
-    phi = pinned_parametrization(q1_form, tuple(fixture["pin_base_q1"]), fixture["pin_phi"])
-    y_conic = substituted_conic(phi, sel.q2)
-    _expect("y_conic", tuple(fixture["expect_y_conic"]), y_conic.coefficients, diffs)
-    psi = pinned_parametrization(y_conic, tuple(fixture["pin_base_q3"]), fixture["pin_psi"])
-    kernel = parameter_kernel(psi)
-    _expect("kernel", tuple(fixture["expect_kernel"]), kernel, diffs)
-    cross = kernel_cross_term(kernel, psi)
-    _expect("cross_term", fixture["expect_cross_term"], cross, diffs)
-    candidates = square_factor_candidates(cross, psi)
-    _expect(
-        "mu_candidates",
-        list(fixture["expect_mu_candidates"]),
-        candidates,
-        diffs,
-    )
-    mu = fixture["pin_mu"]
-    if mu not in candidates:
-        raise StageMismatch("mu", f"one of {candidates}", mu)
-    q4 = scaled_square_conic(psi.rows[0], mu)
-    q5 = scaled_square_conic(psi.rows[1], mu)
-    _expect("q4", tuple(fixture["expect_q4"]), q4.coefficients, diffs)
-    _expect("q5", tuple(fixture["expect_q5"]), q5.coefficients, diffs)
-    gamma = pinned_parametrization(q4, tuple(fixture["pin_base_q4"]), fixture["pin_gamma"])
-    quartic = compose_quartic(psi.rows[1], gamma)
-    _expect("quartic", tuple(fixture["expect_quartic"]), quartic, diffs)
-    rho = tuple(fixture["pin_rho"])
-    val = sum(
-        c * rho[0] ** (4 - i) * rho[1] ** i for i, c in enumerate(quartic)
-    )
-    _expect("val", fixture["expect_val"], val, diffs)
-    sigma1 = quartic_hit(quartic, mu, *rho)
-    if sigma1 is None:
-        raise StageMismatch("rho", "a perfect-square hit", rho)
-    _expect("sigma1", fixture["expect_sigma1"], sigma1, diffs)
-    quadruple, zvec, yvals = back_substitute(phi, psi, mu, gamma, rho, sigma1, sel)
-    _expect("z", tuple(fixture["expect_z"]), zvec, diffs)
-    _expect("y_values", tuple(fixture["expect_y_values"]), yvals, diffs)
-    _expect("x", tuple(fixture["expect_x"]), quadruple, diffs)
-    solution = solution_in_space_order(sel, quadruple)
-    t = space.triplet
-    point = lift_solution(t, space.m, space.n, solution)
-    _expect("point_x", fixture["expect_point_x"], point.x, diffs)
-    _expect("point_y", fixture["expect_point_y"], point.y, diffs)
-    concordant = curve.to_quadric(point)
-    _expect(
-        "concordant_abs",
-        tuple(fixture["expect_concordant_abs"]),
-        tuple(abs(w) for w in concordant),
-        diffs,
-    )
-    translates = curve.torsion_translates(point)
-    xs = {pt.x for pt in translates if not pt.is_infinity}
-    xs.discard(point.x)
-    _expect("translate_x", set(fixture["expect_translate_x"]), xs, diffs)
-    ys = {abs(pt.y) for pt in translates if not pt.is_infinity}
-    ys.discard(abs(point.y))
-    _expect("translate_y_abs", set(fixture["expect_translate_y_abs"]), ys, diffs)
-
-
-def _reproduce_weak(fixture, curve, space, diffs):
-    if fixture.get("expect_condition_failure"):
-        try:
-            select_equation_pair(space)
-            raise StageMismatch("condition", "no zero-coordinate point", "pair found")
-        except ConditionFailure:
-            diffs.append(
-                {
-                    "stage": "condition",
-                    "expected": "condition-failure",
-                    "actual": "condition-failure",
-                    "ok": True,
-                }
-            )
-    sel = weak_pair(space)
-    outcome = weak_solve(
-        sel.q1,
-        sel.q2,
-        RadiusSchedule(1, 200),
-        base=tuple(fixture["pin_base_q1"]) if "pin_base_q1" in fixture else None,
-    )
-    _expect(
-        "solution_abs",
-        tuple(fixture["expect_solution_abs"]),
-        tuple(abs(v) for v in outcome.quadruple),
-        diffs,
-    )
-    solution = solution_in_space_order(sel, outcome.quadruple)
-    point = lift_solution(space.triplet, space.m, space.n, solution)
-    _expect("point_x", fixture["expect_point_x"], point.x, diffs)
-    _expect("point_y", fixture["expect_point_y"], abs(point.y), diffs)
 
 
 # ---------------------------------------------------------------------------

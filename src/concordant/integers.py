@@ -223,13 +223,17 @@ def factorize(n: int, budget: int = 1_000_000) -> Factorization:
             while m % p == 0:
                 _add(p)
                 m //= p
-        # wheel over 30 for the small range
+        # wheel over 30 for the small range; a prime or table-sized cofactor
+        # ends it, so a prime cofactor does not run the whole wheel
         k, wheel = 7, (4, 2, 4, 2, 4, 6, 2, 6)
         i = 0
-        while k * k <= m and k < 1 << 16:
-            while m % k == 0:
-                _add(k)
-                m //= k
+        done = m < _SPF_LIMIT or is_probable_prime(m)
+        while not done and k * k <= m and k < 1 << 16:
+            if m % k == 0:
+                while m % k == 0:
+                    _add(k)
+                    m //= k
+                done = m < _SPF_LIMIT or is_probable_prime(m)
             k += wheel[i]
             i = (i + 1) % 8
         stack = [m] if m > 1 else []

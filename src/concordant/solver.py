@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .descent import HomogeneousSpace
 from .errors import (
@@ -257,8 +257,16 @@ def _chunk_segments(segments, parts):
     return [segments[i : i + chunk] for i in range(0, len(segments), chunk)]
 
 
+class WorkerPool(NamedTuple):
+    """A process pool that every search of a run shares, with its worker
+    count: a wave of the scan hands each worker about four segments."""
+
+    executor: Executor
+    workers: int
+
+
 def scan_schedule(
-    sieves: Sequence[QuarticSieve], schedule: RadiusSchedule, pool=None, workers: int = 1
+    sieves: Sequence[QuarticSieve], schedule: RadiusSchedule, pool: Optional[WorkerPool] = None
 ) -> Optional[tuple[int, tuple[int, int], int, int]]:
     """Round-robin scan of the sieves over the schedule's shells: shell r of
     sieve i follows shell r of sieves 0..i-1 in the enumeration.  Returns
@@ -280,8 +288,8 @@ def scan_schedule(
                 offset += size
         return None
 
-    wave_target = _PARALLEL_CHUNK * workers * 4
-    parts_per_sieve = max(1, (workers * 4) // len(sieves))
+    wave_target = _PARALLEL_CHUNK * pool.workers * 4
+    parts_per_sieve = max(1, (pool.workers * 4) // len(sieves))
     exhausted = False
     while not exhausted:
         segments = [[] for _ in sieves]
@@ -297,7 +305,7 @@ def scan_schedule(
                 offset += size
             total += size * len(sieves)
         futures = [
-            (si, pool.submit(_scan_segments, sieve, chunk))
+            (si, pool.executor.submit(_scan_segments, sieve, chunk))
             for si, sieve in enumerate(sieves)
             for chunk in _chunk_segments(segments[si], parts_per_sieve)
         ]
@@ -336,7 +344,7 @@ def weak_solve(
     q1: Triple,
     q2: Triple,
     schedule: RadiusSchedule,
-    workers: int = 1,
+    pool: Optional[WorkerPool] = None,
     base: Optional[Triple] = None,
     skip_zero_coordinates: bool = True,
 ) -> SearchOutcome:
@@ -357,12 +365,7 @@ def weak_solve(
         1,
         phi.rows if skip_zero_coordinates else (),
     )
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        hit = scan_schedule([sieve], schedule, pool, workers)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    hit = scan_schedule([sieve], schedule, pool)
     if hit is None:
         raise EffortExhausted("weak search schedule exhausted")
     _, (s, t), root, tested = hit
@@ -582,15 +585,14 @@ class _MuState:
 def _final_search(
     states: list[_MuState],
     schedule: RadiusSchedule,
-    workers: int,
-    pool,
+    pool: Optional[WorkerPool],
 ) -> tuple[int, tuple[int, int], int, int]:
     """Round-robin scan over the per-mu quartics with a shared shell radius;
     returns (state index, (rho0, rho1), sigma1, enumeration position).  The
     sieve tables are built here, once per state, and travel to the workers
     with the segments."""
     sieves = [quartic_sieve(st.quartic, st.mu) for st in states]
-    hit = scan_schedule(sieves, schedule, pool, workers)
+    hit = scan_schedule(sieves, schedule, pool)
     if hit is None:
         raise EffortExhausted("final search schedule exhausted")
     return hit
@@ -599,40 +601,31 @@ def _final_search(
 def strong_solve(
     space: HomogeneousSpace,
     schedule: Optional[RadiusSchedule] = None,
-    workers: int = 1,
+    pool: Optional[WorkerPool] = None,
     pins: Optional[StagePins] = None,
-    mu_override: Optional[int] = None,
-    weak_fallback: bool = True,
 ) -> SearchOutcome:
     """Full staged search on a homogeneous space.
 
     Falls back to the weak search when no quadric of the space has a
-    zero-coordinate point (or when the kernel stage degenerates), unless
-    weak_fallback is False, in which case ConditionFailure propagates.
+    zero-coordinate point, or when the kernel stage degenerates.
     """
     schedule = schedule or RadiusSchedule(1, 2000)
     pins = pins or StagePins()
     try:
         sel = select_equation_pair(space)
     except ConditionFailure:
-        if not weak_fallback:
-            raise
-        return _weak_on_space(space, schedule, workers, pins)
+        return _weak_on_space(space, schedule, pool, pins)
     try:
-        return _strong_chain(space, sel, schedule, workers, pins, mu_override)
+        return _strong_chain(space, sel, schedule, pool, pins)
     except DegenerateKernel as exc:
-        if not weak_fallback:
-            raise
-        outcome = _weak_on_space(space, schedule, workers, pins)
+        outcome = _weak_on_space(space, schedule, pool, pins)
         outcome.diagnostics["degenerate_kernel"] = str(exc)
         return outcome
 
 
-def _weak_on_space(space, schedule, workers, pins) -> SearchOutcome:
+def _weak_on_space(space, schedule, pool, pins) -> SearchOutcome:
     sel = weak_pair(space)
-    outcome = weak_solve(
-        sel.q1, sel.q2, schedule, workers=workers, base=pins.base_q1
-    )
+    outcome = weak_solve(sel.q1, sel.q2, schedule, pool=pool, base=pins.base_q1)
     outcome.state.selection = sel
     outcome.diagnostics["pair"] = (sel.q1_name, sel.q2_name)
     outcome.diagnostics["var_order"] = sel.var_order
@@ -643,7 +636,7 @@ def _weak_on_space(space, schedule, workers, pins) -> SearchOutcome:
     return outcome
 
 
-def _strong_chain(space, sel, schedule, workers, pins, mu_override) -> SearchOutcome:
+def _strong_chain(space, sel, schedule, pool, pins) -> SearchOutcome:
     q1_form = TernaryForm(sel.q1[0], 0, sel.q1[1], sel.q1[2])
     base1 = pins.base_q1 or sel.base
     if pins.phi_rows is not None:
@@ -666,11 +659,10 @@ def _strong_chain(space, sel, schedule, workers, pins, mu_override) -> SearchOut
     except DegenerateKernel:
         candidates = []
     completion = [m for m in extended_square_factors(psi) if m not in candidates]
-    chosen = mu_override if mu_override is not None else pins.mu
-    if chosen is not None:
-        if chosen not in candidates and chosen not in completion:
-            raise InvalidArgument(f"mu={chosen} is not among the candidates {candidates}")
-        rounds = [[chosen]]
+    if pins.mu is not None:
+        if pins.mu not in candidates and pins.mu not in completion:
+            raise InvalidArgument(f"mu={pins.mu} is not among the candidates {candidates}")
+        rounds = [[pins.mu]]
     else:
         rounds = [r for r in (candidates, completion) if r]
     if not rounds:
@@ -690,33 +682,27 @@ def _strong_chain(space, sel, schedule, workers, pins, mu_override) -> SearchOut
             states.append(_MuState(mu, q4, q5, base_q4, gamma, quartic))
         return states
 
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     completion_used = False
-    try:
-        if pins.rho is not None:
-            if chosen is None:
-                raise InvalidArgument("pinned final parameters need a pinned square factor")
-            s, t = pins.rho
-            states = _states_for(rounds[0])
-            st = states[0]
-            sigma1 = quartic_hit(st.quartic, st.mu, s, t)
-            if sigma1 is None:
-                raise InvalidArgument(f"pinned parameters {pins.rho} are not a hit")
-            si, rho, tested = 0, (s, t), 1
-        else:
-            si = None
-            for round_no, mus in enumerate(rounds):
-                states = _states_for(mus)
-                try:
-                    si, rho, sigma1, tested = _final_search(states, schedule, workers, pool)
-                    completion_used = round_no > 0
-                    break
-                except EffortExhausted:
-                    if round_no == len(rounds) - 1:
-                        raise
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    if pins.rho is not None:
+        if pins.mu is None:
+            raise InvalidArgument("pinned final parameters need a pinned square factor")
+        s, t = pins.rho
+        states = _states_for(rounds[0])
+        st = states[0]
+        sigma1 = quartic_hit(st.quartic, st.mu, s, t)
+        if sigma1 is None:
+            raise InvalidArgument(f"pinned parameters {pins.rho} are not a hit")
+        si, rho, tested = 0, (s, t), 1
+    else:
+        for round_no, mus in enumerate(rounds):
+            states = _states_for(mus)
+            try:
+                si, rho, sigma1, tested = _final_search(states, schedule, pool)
+                completion_used = round_no > 0
+                break
+            except EffortExhausted:
+                if round_no == len(rounds) - 1:
+                    raise
 
     st = states[si]
     quadruple, zvec, yvec = back_substitute(phi, psi, st.mu, st.gamma, rho, sigma1, sel)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import concordant
+import concordant.cli
 import concordant.solver
 from concordant.cli import (
     EXIT_EXHAUSTED,
@@ -23,6 +24,20 @@ from concordant.cli import (
 )
 from concordant.errors import EffortExhausted, FactorizationIncomplete
 from concordant.fixtures import bundled_fixture_names, load_fixture, parse_fixture
+
+def _over_factoring_budget(psi):
+    raise FactorizationIncomplete(10**40 + 1, [], 10**40 + 1)
+
+
+def _edited_n142(tmp_path, old, new):
+    import importlib.resources as resources
+
+    src = (resources.files("concordant") / "fixtures" / "n142.fixture").read_text()
+    assert old in src
+    ref = tmp_path / "edited.fixture"
+    ref.write_text(src.replace(old, new))
+    return str(ref)
+
 
 ZAGIER_ARGS = [
     "verify",
@@ -103,7 +118,7 @@ class TestSolveCommand:
 
         def over_budget(psi):
             calls.append(psi)
-            raise FactorizationIncomplete(10**40 + 1, [], 10**40 + 1)
+            _over_factoring_budget(psi)
 
         monkeypatch.setattr(concordant.solver, "extended_square_factors", over_budget)
         code = main(["solve", "--p", "1", "--q", "3", "--k", "142", "--radius-cap", "100"])
@@ -273,6 +288,44 @@ class TestSeriesCommand:
             assert w[0] ** 2 + 14 * w[1] ** 2 == w[2] ** 2
             assert w[0] ** 2 - 42 * w[1] ** 2 == w[3] ** 2
 
+    @pytest.mark.parametrize(
+        "family, max_k, rows",
+        [
+            ("cong5", 13, [("5", "1;-1;-1"), ("13", "1;-1;-1")]),
+            ("theta96", 14, [("14", "1;2;2"), ("14", "2;-3;-6")]),
+        ],
+    )
+    def test_factoring_budget_gives_exhausted_rows(self, monkeypatch, family, max_k, rows):
+        monkeypatch.setattr(concordant.solver, "extended_square_factors", _over_factoring_budget)
+        got = run_series(family, max_k, radius_cap=100)
+        assert [(r["k"], r["triplet"]) for r in got] == rows
+        assert {r["status"] for r in got} == {"exhausted"}
+
+    @pytest.mark.parametrize("family, max_k", [("cong7", "200"), ("theta96", "400")])
+    def test_worker_count_does_not_change_csv(self, capsys, family, max_k):
+        outputs = []
+        for workers in ("1", "2"):
+            args = ["series", "--family", family, "--max-k", max_k, "--workers", workers]
+            assert main(args) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\n") > 3
+
+    def test_one_process_pool_per_run(self, monkeypatch):
+        built = []
+
+        class CountingPool(concordant.cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concordant.cli, "ProcessPoolExecutor", CountingPool)
+        rows = run_series("cong5", 61, radius_cap=300, workers=2)
+        assert [r["k"] for r in rows] == ["5", "13", "29", "37", "53", "61"]
+        assert built == [{"max_workers": 2}]
+        run_series("cong5", 13, radius_cap=100, workers=1)
+        assert len(built) == 1
+
 
 class TestReproduceCommand:
     def test_bundled_fixtures_present(self):
@@ -288,6 +341,34 @@ class TestReproduceCommand:
     def test_k23_ok(self):
         report = run_reproduce(load_fixture("k23-weak"))
         assert report["ok"] is True
+
+    def test_replay_runs_the_production_solve(self, monkeypatch):
+        calls = []
+        real = concordant.cli.strong_solve
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["pins"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(concordant.cli, "strong_solve", counting)
+        assert run_reproduce(load_fixture("n142"))["ok"] is True
+        assert len(calls) == 1
+        assert calls[0].rho == (20, 3)
+        assert calls[0].mu == -71
+
+    @pytest.mark.parametrize(
+        "old, new, reason",
+        [
+            ("pin_rho = 20,3", "pin_rho = 1,1", "not a hit"),
+            ("pin_mu = -71", "pin_mu = 17", "not among the candidates"),
+        ],
+    )
+    def test_invalid_pin_is_a_mismatch(self, tmp_path, capsys, old, new, reason):
+        path = _edited_n142(tmp_path, old, new)
+        assert main(["reproduce", "--fixture", path]) == EXIT_MISMATCH
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        assert captured.out == ""
 
     def test_cli_exit_codes(self, capsys):
         assert main(["reproduce", "--fixture", "n142"]) == EXIT_OK

@@ -98,6 +98,22 @@ class TestFactorize:
         p, q = 1_000_003, 1_000_033
         assert factorize(p * q).factors == ((p, 1), (q, 1))
 
+    def test_against_sympy_factorint(self, rng):
+        # prime cofactors end the trial division early: 11-13 digit primes,
+        # and semiprimes whose small factor lies in the wheel's range
+        sympy = pytest.importorskip("sympy")
+        cases = []
+        for _ in range(60):
+            big = sympy.nextprime(rng.randrange(10**10, 10**13 - 100))
+            wheel = sympy.nextprime(rng.randrange(2**10, 2**16 - 20))
+            cases += [big, wheel * big, wheel * sympy.nextprime(rng.randrange(2**16, 10**8))]
+            cases.append(rng.randrange(2, 10 ** rng.randint(6, 24)))
+        for n in cases:
+            for signed in (n, -n):
+                f = factorize(signed)
+                assert f.value() == signed
+                assert f.factors == tuple(sorted(sympy.factorint(n).items())), signed
+
 
 def _trial_division_prime(n):
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from conftest import oracle_final_search, oracle_scan_quartic, oracle_scan_weak
@@ -11,6 +12,7 @@ from concordant.quadforms import TernaryForm, compose_quartic, find_conic_point,
 from concordant.solver import (
     SIEVE_PRIMES,
     StagePins,
+    WorkerPool,
     kernel_cross_term,
     parameter_kernel,
     pinned_parametrization,
@@ -106,7 +108,10 @@ class TestWeakSolve:
         hs = build_homogeneous_space(DescentTriplet(2, 3, 6), 23, -69)
         sel = weak_pair(hs)
         a = weak_solve(sel.q1, sel.q2, RadiusSchedule(1, 60), base=(1, 1, 1))
-        b = weak_solve(sel.q1, sel.q2, RadiusSchedule(1, 60), base=(1, 1, 1), workers=2)
+        with ProcessPoolExecutor(max_workers=2) as executor:
+            b = weak_solve(
+                sel.q1, sel.q2, RadiusSchedule(1, 60), WorkerPool(executor, 2), base=(1, 1, 1)
+            )
         assert a.quadruple == b.quadruple
         assert a.diagnostics["pairs_tested"] == b.diagnostics["pairs_tested"]
 
@@ -245,11 +250,10 @@ class TestFinalLoop:
             phi_rows=PHI_142,
             base_q3=(10, 9, 1),
             psi_rows=PSI_142,
+            mu=-1,
         )
         with pytest.raises(EffortExhausted):
-            strong_solve(
-                hs, RadiusSchedule(1, 200), pins=pins, mu_override=-1, weak_fallback=False
-            )
+            strong_solve(hs, RadiusSchedule(1, 200), pins=pins)
 
     def test_pinned_chain_end_to_end(self):
         hs = build_homogeneous_space(DescentTriplet(1, 2, 2), 142, -426)
@@ -301,20 +305,16 @@ class TestStrongSolve:
         assert out.method == "weak"
         assert tuple(abs(v) for v in out.quadruple) == (7, 5, 1, 1)
 
-    def test_fallback_disabled(self):
-        hs = build_homogeneous_space(DescentTriplet(2, 3, 6), 23, -69)
-        with pytest.raises(ConditionFailure):
-            strong_solve(hs, RadiusSchedule(1, 100), weak_fallback=False)
-
     def test_mu_override_validated(self):
         hs = build_homogeneous_space(DescentTriplet(1, 2, 2), 142, -426)
         with pytest.raises(InvalidArgument):
-            strong_solve(hs, RadiusSchedule(1, 50), mu_override=17)
+            strong_solve(hs, RadiusSchedule(1, 50), pins=StagePins(mu=17))
 
     def test_worker_count_does_not_change_outcome(self):
         hs = build_homogeneous_space(DescentTriplet(1, -1, -1), 13, -13)
-        a = strong_solve(hs, RadiusSchedule(1, 200), workers=1)
-        b = strong_solve(hs, RadiusSchedule(1, 200), workers=2)
+        a = strong_solve(hs, RadiusSchedule(1, 200))
+        with ProcessPoolExecutor(max_workers=2) as executor:
+            b = strong_solve(hs, RadiusSchedule(1, 200), WorkerPool(executor, 2))
         assert a.quadruple == b.quadruple
         assert a.diagnostics["pairs_tested"] == b.diagnostics["pairs_tested"]
 
