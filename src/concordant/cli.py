@@ -18,11 +18,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from multiprocessing import Pool
 from types import SimpleNamespace
 
 from .curves import ConcordantCurve, CurvePoint, log_height, point_log_height
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .fixtures import Fixture, load_fixture
 from .integers import RadiusSchedule
-from .solver import SearchOutcome, StagePins, WorkerPool, strong_solve
+from .solver import SearchOutcome, StagePins, strong_solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,11 +81,6 @@ def _curve_only(args) -> ConcordantCurve:
     if args.M is not None and args.N is not None:
         return ConcordantCurve(args.M, args.N)
     raise InvalidArgument("curve parameters (--p --q --k or --M --N) are required")
-
-
-def _curve_from_args(args) -> tuple[ConcordantCurve, tuple[int, int, int]]:
-    curve = _curve_only(args)
-    return curve, curve.pqk()
 
 
 def _parse_triplet(text: str) -> DescentTriplet:
@@ -162,13 +158,36 @@ def _cap_ladder(radius_cap: int) -> list[int]:
 
 
 @contextlib.contextmanager
-def _worker_pool(workers: int):
-    """The one process pool of a run, or None for a serial run."""
+def _job_map(workers: int):
+    """An ordered, lazy map over a run's independent jobs: the builtin map
+    for a serial run, else the imap of the run's one process pool.  Leaving
+    the block terminates the pool, so a run that is done does not wait for
+    jobs that were started ahead of need."""
     if workers <= 1:
-        yield None
+        yield map
         return
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        yield WorkerPool(executor, workers)
+    with Pool(workers) as pool:
+        yield pool.imap
+
+
+def _search_class(
+    curve: ConcordantCurve, cap: int, pins: StagePins | None, t: DescentTriplet
+) -> tuple[SearchOutcome, CurvePoint] | EffortExhausted:
+    """One class searched at one rung's radius cap: (outcome, point), the
+    point lifted to the curve and checked there, or the EffortExhausted that
+    ends the class at this rung.  A class whose search runs out, whose space
+    is provably empty or degenerate, or whose square factors outrun the
+    factoring budget is exhausted."""
+    space = build_homogeneous_space(t, curve.m, curve.n)
+    try:
+        outcome = strong_solve(space, RadiusSchedule(1, cap), pins=pins)
+    except EffortExhausted as exc:
+        return exc
+    except (NoSolution, DegenerateKernel, FactorizationIncomplete) as exc:
+        return EffortExhausted(f"{t.as_tuple()}: {exc}")
+    point = lift_solution(t, curve.m, curve.n, outcome.diagnostics["space_solution"])
+    _verify_point(curve, point)
+    return outcome, point
 
 
 def search_curve(
@@ -176,32 +195,25 @@ def search_curve(
     triplets: list[DescentTriplet],
     ladder: list[int],
     pins: StagePins | None = None,
-    pool: WorkerPool | None = None,
+    jobs=map,
 ) -> tuple[DescentTriplet, SearchOutcome, CurvePoint]:
     """The class x cap-ladder search: every class is searched at a rung's
-    radius cap before any class gets the next rung.  A class whose search
-    runs out, whose space is provably empty or degenerate, or whose square
-    factors outrun the factoring budget is exhausted at that rung.
+    radius cap before any class gets the next rung.  `jobs` maps the rung's
+    classes in order (see `_job_map`); the first class in that order that
+    hits wins, however the jobs are run.
 
-    Returns (triplet, outcome, point) for the first hit, the point lifted to
-    the curve and checked there; raises EffortExhausted naming the last
-    failure when every class is exhausted at every rung."""
+    Returns (triplet, outcome, point) for the first hit; raises
+    EffortExhausted naming the last failure when every class is exhausted
+    at every rung."""
     if not triplets:
         raise EffortExhausted("no surviving descent classes to search")
-    m, n = curve.m, curve.n
     for cap in ladder:
-        for t in triplets:
-            space = build_homogeneous_space(t, m, n)
-            try:
-                outcome = strong_solve(space, RadiusSchedule(1, cap), pool=pool, pins=pins)
-            except EffortExhausted as exc:
-                last_exhaustion = exc
+        results = jobs(functools.partial(_search_class, curve, cap, pins), triplets)
+        for t, result in zip(triplets, results):
+            if isinstance(result, EffortExhausted):
+                last_exhaustion = result
                 continue
-            except (NoSolution, DegenerateKernel, FactorizationIncomplete) as exc:
-                last_exhaustion = EffortExhausted(f"{t.as_tuple()}: {exc}")
-                continue
-            point = lift_solution(t, m, n, outcome.diagnostics["space_solution"])
-            _verify_point(curve, point)
+            outcome, point = result
             return t, outcome, point
     raise last_exhaustion
 
@@ -225,8 +237,8 @@ def run_solve(
         ladder = _cap_ladder(radius_cap)
     if mu is not None:
         pins = dataclasses.replace(pins or StagePins(), mu=mu)
-    with _worker_pool(workers) as pool:
-        t, outcome, point = search_curve(curve, candidates, ladder, pins, pool)
+    with _job_map(workers) as jobs:
+        t, outcome, point = search_curve(curve, candidates, ladder, pins, jobs)
     solution = outcome.diagnostics["space_solution"]
     concordant = curve.to_quadric(point)
     if curve.quadric_residues(concordant) != (0, 0):
@@ -423,25 +435,28 @@ def _series_row(family, p, q, k, t, status, outcome=None, curve=None, point=None
 
 
 def run_series(family: str, max_k: int, radius_cap: int = 300, workers: int = 1) -> list[dict]:
-    rows = []
-    with _worker_pool(workers) as pool:
-        for p, q, k in _family_curves(family, max_k):
-            curve = ConcordantCurve.from_pqk(p, q, k)
-            if family == "theta96":
-                rows.extend(_theta96_rows(family, p, q, k, curve, radius_cap, pool))
-                continue
-            reps = [c["representative"] for c in classify(p, q, k).surviving_classes]
-            try:
-                t, outcome, point = search_curve(curve, reps, _cap_ladder(radius_cap), pool=pool)
-            except EffortExhausted:
-                t = reps[0] if reps else DescentTriplet(1, 1, 1)
-                rows.append(_series_row(family, p, q, k, t, "exhausted"))
-                continue
-            rows.append(_series_row(family, p, q, k, t, "ok", outcome, curve, point))
-    return rows
+    """One job per curve of the family, rows in the order of the curves."""
+    curves = list(_family_curves(family, max_k))
+    with _job_map(workers) as jobs:
+        per_curve = jobs(functools.partial(_curve_rows, family, radius_cap), curves)
+        return [row for rows in per_curve for row in rows]
 
 
-def _theta96_rows(family, p, q, k, curve, radius_cap, pool):
+def _curve_rows(family: str, radius_cap: int, pqk: tuple[int, int, int]) -> list[dict]:
+    p, q, k = pqk
+    curve = ConcordantCurve.from_pqk(p, q, k)
+    if family == "theta96":
+        return _theta96_rows(family, p, q, k, curve, radius_cap)
+    reps = [c["representative"] for c in classify(p, q, k).surviving_classes]
+    try:
+        t, outcome, point = search_curve(curve, reps, _cap_ladder(radius_cap))
+    except EffortExhausted:
+        t = reps[0] if reps else DescentTriplet(1, 1, 1)
+        return [_series_row(family, p, q, k, t, "exhausted")]
+    return [_series_row(family, p, q, k, t, "ok", outcome, curve, point)]
+
+
+def _theta96_rows(family, p, q, k, curve, radius_cap):
     """The rank-2 family: two independent spaces are searched and the third
     class's point is their elliptic-curve sum."""
     rows = []
@@ -449,7 +464,7 @@ def _theta96_rows(family, p, q, k, curve, radius_cap, pool):
     for trip in ((1, 2, 2), (2, -3, -6)):
         t = DescentTriplet(*trip)
         try:
-            _, outcome, point = search_curve(curve, [t], [radius_cap], pool=pool)
+            _, outcome, point = search_curve(curve, [t], [radius_cap])
         except EffortExhausted:
             rows.append(_series_row(family, p, q, k, t, "exhausted"))
             continue
@@ -683,10 +698,10 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         if args.command == "classify":
-            _, (p, q, k) = _curve_from_args(args)
+            p, q, k = _curve_only(args).pqk()
             report = run_classify(p, q, k)
         elif args.command == "solve":
-            _, (p, q, k) = _curve_from_args(args)
+            p, q, k = _curve_only(args).pqk()
             triplet = _parse_triplet(args.triplet) if args.triplet else None
             pins = None
             if args.fixture:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .curves import ConcordantCurve, CurvePoint
 from .errors import InvalidArgument, VerificationFailure
-from .integers import is_perfect_square, squarefree_part
+from .integers import factorize, is_perfect_square, primitive_normalize, squarefree_part
 from .quadforms import TernaryForm, legendre_solvable, reduce_to_legendre
 
 
@@ -64,8 +64,6 @@ def _prime_divisors(n: int) -> set[int]:
     out = set()
     n = abs(n)
     if n > 1:
-        from .integers import factorize
-
         out.update(p for p, _ in factorize(n).factors)
     return out
 
@@ -181,8 +179,6 @@ class HomogeneousSpace:
 
 def _signed_primitive_form(c0: int, c1: int, c2: int) -> TernaryForm:
     # content-free diagonal form with the first nonzero coefficient positive
-    from .integers import primitive_normalize
-
     c0, c1, c2 = primitive_normalize((c0, c1, c2))
     return TernaryForm(c0, 0, c1, c2)
 

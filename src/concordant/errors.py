@@ -18,6 +18,10 @@ class FactorizationIncomplete(ConcordantError):
         self.partial = partial
         self.cofactor = cofactor
 
+    def __reduce__(self):
+        # rebuilt from the fields, so the error crosses a process boundary
+        return type(self), (self.n, self.partial, self.cofactor)
+
 
 class NoSolution(ConcordantError):
     """The equation provably has no nontrivial rational solution."""
@@ -60,3 +64,6 @@ class StageMismatch(ConcordantError):
         self.stage = stage
         self.expected = expected
         self.actual = actual
+
+    def __reduce__(self):
+        return type(self), (self.stage, self.expected, self.actual)

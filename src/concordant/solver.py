@@ -7,18 +7,18 @@ sharing X0, X1.  The weak search parametrizes Q1 and scans parameters until
 Q2's remaining square is perfect.  The strong search needs a zero-coordinate
 point on one of the four quadrics of the homogeneous space; it then gains a
 second substitution level, roughly doubling the digits reachable per unit of
-loop radius.  Both loops are deterministic for any worker count: work is
-split by enumeration index and the earliest hit in enumeration order wins.
+loop radius.  Both loops are serial: the earliest hit in enumeration order
+wins.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
+from .curves import log_height
 from .descent import HomogeneousSpace
 from .errors import (
     ConditionFailure,
@@ -53,8 +53,6 @@ from .quadforms import (
 
 Triple = tuple[int, int, int]
 Quad = tuple[int, int, int, int]
-
-_PARALLEL_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -240,83 +238,21 @@ def _repunits(r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _scan_segments(sieve: QuarticSieve, segments):
-    # segments: [(shell radius, enumeration offset), ...]; only shell
-    # numbers and the prebuilt sieve cross process boundaries
-    for r, off in segments:
-        hit = scan_shell(sieve, r)
-        if hit is not None:
-            return (off + hit[0],) + hit[1:]
-    return None
-
-
-def _chunk_segments(segments, parts):
-    if not segments:
-        return []
-    chunk = max(1, -(-len(segments) // max(1, parts)))
-    return [segments[i : i + chunk] for i in range(0, len(segments), chunk)]
-
-
-class WorkerPool(NamedTuple):
-    """A process pool that every search of a run shares, with its worker
-    count: a wave of the scan hands each worker about four segments."""
-
-    executor: Executor
-    workers: int
-
-
 def scan_schedule(
-    sieves: Sequence[QuarticSieve], schedule: RadiusSchedule, pool: Optional[WorkerPool] = None
+    sieves: Sequence[QuarticSieve], schedule: RadiusSchedule
 ) -> Optional[tuple[int, tuple[int, int], int, int]]:
     """Round-robin scan of the sieves over the schedule's shells: shell r of
     sieve i follows shell r of sieves 0..i-1 in the enumeration.  Returns
     (sieve index, (s, t), sigma, pairs tested up to the hit) for the earliest
-    hit, or None once the schedule is exhausted.
-
-    With a pool, whole waves of (shell, offset) segments are scanned
-    concurrently; segments carry their enumeration offsets, so the earliest
-    hit is identical for any worker count."""
+    hit, or None once the schedule is exhausted."""
     offset = 0
-    shells = schedule.shells()
-    if pool is None:
-        for r in shells:
-            size = shell_size(r)
-            for si, sieve in enumerate(sieves):
-                hit = scan_shell(sieve, r)
-                if hit is not None:
-                    return si, (hit[1], hit[2]), hit[3], offset + hit[0] + 1
-                offset += size
-        return None
-
-    wave_target = _PARALLEL_CHUNK * pool.workers * 4
-    parts_per_sieve = max(1, (pool.workers * 4) // len(sieves))
-    exhausted = False
-    while not exhausted:
-        segments = [[] for _ in sieves]
-        total = 0
-        while total < wave_target:
-            r = next(shells, None)
-            if r is None:
-                exhausted = True
-                break
-            size = shell_size(r)
-            for seg in segments:
-                seg.append((r, offset))
-                offset += size
-            total += size * len(sieves)
-        futures = [
-            (si, pool.executor.submit(_scan_segments, sieve, chunk))
-            for si, sieve in enumerate(sieves)
-            for chunk in _chunk_segments(segments[si], parts_per_sieve)
-        ]
-        hits = []
-        for si, fut in futures:
-            h = fut.result()
-            if h is not None:
-                hits.append((h[0], si, h))
-        if hits:
-            idx, si, h = min(hits)
-            return si, (h[1], h[2]), h[3], idx + 1
+    for r in schedule.shells():
+        size = shell_size(r)
+        for si, sieve in enumerate(sieves):
+            hit = scan_shell(sieve, r)
+            if hit is not None:
+                return si, (hit[1], hit[2]), hit[3], offset + hit[0] + 1
+            offset += size
     return None
 
 
@@ -344,7 +280,6 @@ def weak_solve(
     q1: Triple,
     q2: Triple,
     schedule: RadiusSchedule,
-    pool: Optional[WorkerPool] = None,
     base: Optional[Triple] = None,
     skip_zero_coordinates: bool = True,
 ) -> SearchOutcome:
@@ -365,7 +300,7 @@ def weak_solve(
         1,
         phi.rows if skip_zero_coordinates else (),
     )
-    hit = scan_schedule([sieve], schedule, pool)
+    hit = scan_schedule([sieve], schedule)
     if hit is None:
         raise EffortExhausted("weak search schedule exhausted")
     _, (s, t), root, tested = hit
@@ -378,8 +313,8 @@ def weak_solve(
         {
             "pairs_tested": tested,
             "parameter": (s, t),
-            "parameter_height": _height_of((s, t)),
-            "quadruple_height": _height_of(quad),
+            "parameter_height": log_height((s, t)),
+            "quadruple_height": log_height(quad),
         },
     )
 
@@ -388,11 +323,6 @@ def _weak_quadruple(rows, b33, s, t, root) -> Quad:
     f = tuple(r[0] * s * s + r[1] * s * t + r[2] * t * t for r in rows)
     scale = abs(b33)
     return primitive_normalize((scale * f[0], scale * f[1], scale * f[2], root))
-
-
-def _height_of(vec) -> float:
-    m = max(abs(v) for v in vec)
-    return 0.0 if m <= 1 else math.log10(m)
 
 
 # ---------------------------------------------------------------------------
@@ -582,26 +512,9 @@ class _MuState:
     quartic: tuple[int, ...]
 
 
-def _final_search(
-    states: list[_MuState],
-    schedule: RadiusSchedule,
-    pool: Optional[WorkerPool],
-) -> tuple[int, tuple[int, int], int, int]:
-    """Round-robin scan over the per-mu quartics with a shared shell radius;
-    returns (state index, (rho0, rho1), sigma1, enumeration position).  The
-    sieve tables are built here, once per state, and travel to the workers
-    with the segments."""
-    sieves = [quartic_sieve(st.quartic, st.mu) for st in states]
-    hit = scan_schedule(sieves, schedule, pool)
-    if hit is None:
-        raise EffortExhausted("final search schedule exhausted")
-    return hit
-
-
 def strong_solve(
     space: HomogeneousSpace,
     schedule: Optional[RadiusSchedule] = None,
-    pool: Optional[WorkerPool] = None,
     pins: Optional[StagePins] = None,
 ) -> SearchOutcome:
     """Full staged search on a homogeneous space.
@@ -614,18 +527,18 @@ def strong_solve(
     try:
         sel = select_equation_pair(space)
     except ConditionFailure:
-        return _weak_on_space(space, schedule, pool, pins)
+        return _weak_on_space(space, schedule, pins)
     try:
-        return _strong_chain(space, sel, schedule, pool, pins)
+        return _strong_chain(space, sel, schedule, pins)
     except DegenerateKernel as exc:
-        outcome = _weak_on_space(space, schedule, pool, pins)
+        outcome = _weak_on_space(space, schedule, pins)
         outcome.diagnostics["degenerate_kernel"] = str(exc)
         return outcome
 
 
-def _weak_on_space(space, schedule, pool, pins) -> SearchOutcome:
+def _weak_on_space(space, schedule, pins) -> SearchOutcome:
     sel = weak_pair(space)
-    outcome = weak_solve(sel.q1, sel.q2, schedule, pool=pool, base=pins.base_q1)
+    outcome = weak_solve(sel.q1, sel.q2, schedule, base=pins.base_q1)
     outcome.state.selection = sel
     outcome.diagnostics["pair"] = (sel.q1_name, sel.q2_name)
     outcome.diagnostics["var_order"] = sel.var_order
@@ -636,7 +549,7 @@ def _weak_on_space(space, schedule, pool, pins) -> SearchOutcome:
     return outcome
 
 
-def _strong_chain(space, sel, schedule, pool, pins) -> SearchOutcome:
+def _strong_chain(space, sel, schedule, pins) -> SearchOutcome:
     q1_form = TernaryForm(sel.q1[0], 0, sel.q1[1], sel.q1[2])
     base1 = pins.base_q1 or sel.base
     if pins.phi_rows is not None:
@@ -694,15 +607,16 @@ def _strong_chain(space, sel, schedule, pool, pins) -> SearchOutcome:
             raise InvalidArgument(f"pinned parameters {pins.rho} are not a hit")
         si, rho, tested = 0, (s, t), 1
     else:
+        # round-robin over the per-mu quartics with a shared shell radius
         for round_no, mus in enumerate(rounds):
             states = _states_for(mus)
-            try:
-                si, rho, sigma1, tested = _final_search(states, schedule, pool)
+            hit = scan_schedule([quartic_sieve(st.quartic, st.mu) for st in states], schedule)
+            if hit is not None:
+                si, rho, sigma1, tested = hit
                 completion_used = round_no > 0
                 break
-            except EffortExhausted:
-                if round_no == len(rounds) - 1:
-                    raise
+        else:
+            raise EffortExhausted("final search schedule exhausted")
 
     st = states[si]
     quadruple, zvec, yvec = back_substitute(phi, psi, st.mu, st.gamma, rho, sigma1, sel)
@@ -737,8 +651,8 @@ def _strong_chain(space, sel, schedule, pool, pins) -> SearchOutcome:
         "mu_completion": completion,
         "completion_used": completion_used,
         "parameter": rho,
-        "parameter_height": _height_of(rho),
-        "quadruple_height": _height_of(quadruple),
+        "parameter_height": log_height(rho),
+        "quadruple_height": log_height(quadruple),
         "space_solution": solution,
     }
     return SearchOutcome(quadruple, "strong", state, diagnostics)

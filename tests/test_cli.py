@@ -1,8 +1,10 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,11 +24,29 @@ from concordant.cli import (
     run_series,
     run_solve,
 )
+from concordant.descent import DescentTriplet
 from concordant.errors import EffortExhausted, FactorizationIncomplete
 from concordant.fixtures import bundled_fixture_names, load_fixture, parse_fixture
 
 def _over_factoring_budget(psi):
     raise FactorizationIncomplete(10**40 + 1, [], 10**40 + 1)
+
+
+# a patch of concordant.cli reaches pool workers only when they are forked
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers are not forked"
+)
+
+# the first surviving class of k = 34 that hits at the first rung; the class
+# before it is exhausted there and two classes after it also hit
+_FIRST_HIT_34 = DescentTriplet(1, 2, 2)
+_real_search_class = concordant.cli._search_class
+
+
+def _first_hit_finishes_last(curve, cap, pins, t):
+    if t == _FIRST_HIT_34:
+        time.sleep(1.0)
+    return _real_search_class(curve, cap, pins, t)
 
 
 def _edited_n142(tmp_path, old, new):
@@ -313,18 +333,81 @@ class TestSeriesCommand:
 
     def test_one_process_pool_per_run(self, monkeypatch):
         built = []
+        real_pool = concordant.cli.Pool
 
-        class CountingPool(concordant.cli.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs)
-                super().__init__(*args, **kwargs)
+        def counting_pool(*args, **kwargs):
+            built.append(args)
+            return real_pool(*args, **kwargs)
 
-        monkeypatch.setattr(concordant.cli, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concordant.cli, "Pool", counting_pool)
         rows = run_series("cong5", 61, radius_cap=300, workers=2)
         assert [r["k"] for r in rows] == ["5", "13", "29", "37", "53", "61"]
-        assert built == [{"max_workers": 2}]
+        assert built == [(2,)]
         run_series("cong5", 13, radius_cap=100, workers=1)
         assert len(built) == 1
+        # solve: k = 191 is searched at all three rungs of the ladder
+        run_solve(1, 1, 191, radius_cap=300, workers=2)
+        assert built == [(2,), (2,)]
+        run_solve(1, 1, 191, radius_cap=300, workers=1)
+        assert len(built) == 2
+
+    @needs_fork
+    def test_worker_error_is_raised_not_hung(self):
+        # a whole curve, classify included, runs in a worker; an error it
+        # raises must reach the caller.  A subprocess bounds the wait, so a
+        # pool that hangs fails the test.
+        script = (
+            "import concordant.cli as cli\n"
+            "from concordant.errors import FactorizationIncomplete\n"
+            "def over_budget(p, q, k):\n"
+            "    raise FactorizationIncomplete(k, [], k)\n"
+            "cli.classify = over_budget\n"
+            "try:\n"
+            "    cli.run_series('cong5', 61, workers=2)\n"
+            "except FactorizationIncomplete as exc:\n"
+            "    raise SystemExit(0 if (exc.n, exc.cofactor) == (5, 5) else 1)\n"
+            "raise SystemExit(1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(concordant.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+
+
+class TestSolveJobMap:
+    """solve runs a rung's classes as jobs; the first class in order that
+    hits wins, for any worker count."""
+
+    @staticmethod
+    def _solve(capsys, k, workers):
+        args = ["solve", "--p", "1", "--q", "1", "--k", k, "--radius-cap", "300"]
+        code = main(args + ["--workers", workers, "--format", "json"])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("k", ["34", "191"])
+    def test_worker_count_does_not_change_json(self, capsys, k):
+        # k = 34: an earlier class is exhausted at the first rung and later
+        # ones hit; k = 191: the hit comes at the last rung
+        serial = self._solve(capsys, k, "1")
+        parallel = self._solve(capsys, k, "2")
+        assert serial[0] == parallel[0] == EXIT_OK
+        assert serial[1] == parallel[1]
+
+    def test_all_classes_exhausted_at_any_worker_count(self, capsys):
+        serial = self._solve(capsys, "127", "1")
+        parallel = self._solve(capsys, "127", "2")
+        assert serial[0] == parallel[0] == EXIT_EXHAUSTED
+        assert serial[2] == parallel[2]
+        assert serial[2].startswith("effort exhausted: ")
+
+    @needs_fork
+    def test_first_class_wins_when_it_finishes_last(self, monkeypatch):
+        serial = run_solve(1, 1, 34, radius_cap=300)
+        assert serial["triplet"] == [str(v) for v in _FIRST_HIT_34.as_tuple()]
+        monkeypatch.setattr(concordant.cli, "_search_class", _first_hit_finishes_last)
+        assert run_solve(1, 1, 34, radius_cap=300, workers=2) == serial
 
 
 class TestReproduceCommand:

@@ -1,5 +1,4 @@
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from conftest import oracle_final_search, oracle_scan_quartic, oracle_scan_weak
@@ -12,7 +11,6 @@ from concordant.quadforms import TernaryForm, compose_quartic, find_conic_point,
 from concordant.solver import (
     SIEVE_PRIMES,
     StagePins,
-    WorkerPool,
     kernel_cross_term,
     parameter_kernel,
     pinned_parametrization,
@@ -103,17 +101,6 @@ class TestWeakSolve:
 
     def test_oracle_equivalence_sample(self, rng):
         _weak_matches_bruteforce(rng, systems=6)
-
-    def test_weak_worker_count_does_not_change_outcome(self):
-        hs = build_homogeneous_space(DescentTriplet(2, 3, 6), 23, -69)
-        sel = weak_pair(hs)
-        a = weak_solve(sel.q1, sel.q2, RadiusSchedule(1, 60), base=(1, 1, 1))
-        with ProcessPoolExecutor(max_workers=2) as executor:
-            b = weak_solve(
-                sel.q1, sel.q2, RadiusSchedule(1, 60), WorkerPool(executor, 2), base=(1, 1, 1)
-            )
-        assert a.quadruple == b.quadruple
-        assert a.diagnostics["pairs_tested"] == b.diagnostics["pairs_tested"]
 
 
 def _brute_system_solutions(q1, q2, bound):
@@ -309,14 +296,6 @@ class TestStrongSolve:
         hs = build_homogeneous_space(DescentTriplet(1, 2, 2), 142, -426)
         with pytest.raises(InvalidArgument):
             strong_solve(hs, RadiusSchedule(1, 50), pins=StagePins(mu=17))
-
-    def test_worker_count_does_not_change_outcome(self):
-        hs = build_homogeneous_space(DescentTriplet(1, -1, -1), 13, -13)
-        a = strong_solve(hs, RadiusSchedule(1, 200))
-        with ProcessPoolExecutor(max_workers=2) as executor:
-            b = strong_solve(hs, RadiusSchedule(1, 200), WorkerPool(executor, 2))
-        assert a.quadruple == b.quadruple
-        assert a.diagnostics["pairs_tested"] == b.diagnostics["pairs_tested"]
 
     def test_solution_satisfies_all_four_quadrics(self):
         for t, m, n in [
