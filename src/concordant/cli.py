@@ -185,7 +185,7 @@ def _search_class(
         return exc
     except (NoSolution, DegenerateKernel, FactorizationIncomplete) as exc:
         return EffortExhausted(f"{t.as_tuple()}: {exc}")
-    point = lift_solution(t, curve.m, curve.n, outcome.diagnostics["space_solution"])
+    point = lift_solution(t, curve.m, curve.n, outcome.space_solution)
     _verify_point(curve, point)
     return outcome, point
 
@@ -239,13 +239,12 @@ def run_solve(
         pins = dataclasses.replace(pins or StagePins(), mu=mu)
     with _job_map(workers) as jobs:
         t, outcome, point = search_curve(curve, candidates, ladder, pins, jobs)
-    solution = outcome.diagnostics["space_solution"]
     concordant = curve.to_quadric(point)
     if curve.quadric_residues(concordant) != (0, 0):
         raise InvalidArgument("concordant quadruple failed re-verification")
     translates = curve.torsion_translates(point)
-    param_h = outcome.diagnostics.get("parameter_height", 0.0)
-    quad_h = outcome.diagnostics.get("quadruple_height", 0.0)
+    param_h = log_height(outcome.parameter)
+    quad_h = log_height(outcome.quadruple)
     point_h = point_log_height(point)
     heights = {
         "parameter": _height_str(param_h),
@@ -261,20 +260,20 @@ def run_solve(
         heights["point_over_quadruple"] = _height_str(point_h / quad_h)
     stats = {
         "method": outcome.method,
-        "pairs_tested": outcome.diagnostics["pairs_tested"],
+        "pairs_tested": outcome.pairs_tested,
         "radius_cap": radius_cap,
     }
-    if outcome.method == "strong":
-        stats["mu"] = _s(outcome.diagnostics["mu"])
-        stats["mu_candidates"] = [_s(v) for v in outcome.diagnostics["mu_candidates"]]
-        stats["completion_used"] = outcome.diagnostics["completion_used"]
-    stats["parameter"] = [_s(v) for v in outcome.diagnostics["parameter"]]
+    if outcome.chain is not None:
+        stats["mu"] = _s(outcome.chain.mu)
+        stats["mu_candidates"] = [_s(v) for v in outcome.chain.mu_candidates]
+        stats["completion_used"] = outcome.chain.completion_used
+    stats["parameter"] = [_s(v) for v in outcome.parameter]
     return {
         "command": "solve",
         "curve": {"p": _s(p), "q": _s(q), "k": _s(k), "m": _s(m), "n": _s(n)},
         "triplet": [_s(v) for v in t.as_tuple()],
         "quadruple": [_s(v) for v in outcome.quadruple],
-        "space_solution": [_s(v) for v in solution],
+        "space_solution": [_s(v) for v in outcome.space_solution],
         "point": _point_json(point),
         "concordant": [_s(v) for v in concordant],
         "translates": [_point_json(pt) for pt in translates],
@@ -420,11 +419,10 @@ def _series_row(family, p, q, k, t, status, outcome=None, curve=None, point=None
     )
     if outcome is not None:
         row["method"] = outcome.method
-        row["pairs_tested"] = str(outcome.diagnostics["pairs_tested"])
-        rho = outcome.diagnostics["parameter"]
-        row["rho0"], row["rho1"] = _s(rho[0]), _s(rho[1])
-        if outcome.method == "strong":
-            row["mu"] = _s(outcome.diagnostics["mu"])
+        row["pairs_tested"] = str(outcome.pairs_tested)
+        row["rho0"], row["rho1"] = (_s(v) for v in outcome.parameter)
+        if outcome.chain is not None:
+            row["mu"] = _s(outcome.chain.mu)
     if point is not None and curve is not None:
         w = curve.to_quadric(point)
         if curve.quadric_residues(w) != (0, 0):
@@ -492,8 +490,8 @@ def _expect(stage, expected, actual, diffs):
         raise StageMismatch(stage, expected, actual)
 
 
-def _quartic_value(state):
-    (s, t), quartic = state.rho, state.quartic
+def _quartic_value(outcome):
+    (s, t), quartic = outcome.parameter, outcome.chain.quartic
     return sum(c * s ** (4 - i) * t**i for i, c in enumerate(quartic))
 
 
@@ -508,21 +506,21 @@ def _translates(replay, coord) -> set:
 # is compared when the fixture has its key.  A weak fixture pins no sign for
 # the loop's hit, so its point's y is compared up to sign.
 _STAGES = (
-    ("q1", "expect_q1", lambda r: r.state.selection.q1),
-    ("q2", "expect_q2", lambda r: r.state.selection.q2),
-    ("y_conic", "expect_y_conic", lambda r: r.state.y_conic.coefficients),
-    ("kernel", "expect_kernel", lambda r: r.state.kernel),
-    ("cross_term", "expect_cross_term", lambda r: r.state.cross_term),
-    ("mu_candidates", "expect_mu_candidates", lambda r: r.state.mu_candidates),
-    ("q4", "expect_q4", lambda r: r.state.q4.coefficients),
-    ("q5", "expect_q5", lambda r: r.state.q5.coefficients),
-    ("quartic", "expect_quartic", lambda r: r.state.quartic),
-    ("val", "expect_val", lambda r: _quartic_value(r.state)),
-    ("sigma1", "expect_sigma1", lambda r: r.state.sigma1),
-    ("z", "expect_z", lambda r: r.state.z_values),
-    ("y_values", "expect_y_values", lambda r: r.state.y_values),
-    ("x", "expect_x", lambda r: r.state.x_values),
-    ("solution_abs", "expect_solution_abs", lambda r: tuple(abs(v) for v in r.quadruple)),
+    ("q1", "expect_q1", lambda r: r.outcome.selection.q1),
+    ("q2", "expect_q2", lambda r: r.outcome.selection.q2),
+    ("y_conic", "expect_y_conic", lambda r: r.chain.psi.source.coefficients),
+    ("kernel", "expect_kernel", lambda r: r.chain.kernel),
+    ("cross_term", "expect_cross_term", lambda r: r.chain.cross_term),
+    ("mu_candidates", "expect_mu_candidates", lambda r: r.chain.mu_candidates),
+    ("q4", "expect_q4", lambda r: r.chain.gamma.source.coefficients),
+    ("q5", "expect_q5", lambda r: r.chain.q5.coefficients),
+    ("quartic", "expect_quartic", lambda r: r.chain.quartic),
+    ("val", "expect_val", lambda r: _quartic_value(r.outcome)),
+    ("sigma1", "expect_sigma1", lambda r: r.chain.sigma1),
+    ("z", "expect_z", lambda r: r.chain.z_values),
+    ("y_values", "expect_y_values", lambda r: r.chain.y_values),
+    ("x", "expect_x", lambda r: r.outcome.quadruple),
+    ("solution_abs", "expect_solution_abs", lambda r: tuple(abs(v) for v in r.outcome.quadruple)),
     ("point_x", "expect_point_x", lambda r: r.point.x),
     ("point_y", "expect_point_y", lambda r: r.point.y if r.strong else abs(r.point.y)),
     ("concordant_abs", "expect_concordant_abs", lambda r: tuple(abs(w) for w in r.concordant)),
@@ -559,13 +557,13 @@ def run_reproduce(fixture: Fixture) -> dict:
     if outcome.method != method:
         raise StageMismatch("method", method, outcome.method)
     if fixture.get("expect_condition_failure"):
-        no_pair = outcome.method == "weak" and "degenerate_kernel" not in outcome.diagnostics
+        no_pair = outcome.method == "weak" and outcome.degenerate_kernel is None
         actual = "condition-failure" if no_pair else "pair found"
         _expect("condition", "condition-failure", actual, diffs)
     replay = SimpleNamespace(
         strong=strong,
-        state=outcome.state,
-        quadruple=outcome.quadruple,
+        outcome=outcome,
+        chain=outcome.chain,
         point=point,
         concordant=curve.to_quadric(point),
         translates=curve.torsion_translates(point),

@@ -232,12 +232,6 @@ class Classification:
     def surviving_classes(self) -> list[dict]:
         return [c for c in self.classes if c["survives"] and not c["is_torsion_class"]]
 
-    def class_containing(self, triplet: DescentTriplet) -> dict:
-        for cls in self.classes:
-            if triplet in cls["members"]:
-                return cls
-        raise InvalidArgument(f"{triplet} is not a triplet of this curve")
-
 
 def classify(p: int, q: int, k: int) -> Classification:
     m, n = p * k, -q * k

@@ -79,10 +79,3 @@ def load_fixture(path_or_name: str) -> Fixture:
         raise InvalidArgument(f"no fixture file or bundled fixture named {path_or_name!r}")
     return parse_fixture(ref.read_text(encoding="utf-8"), path_or_name)
 
-
-def bundled_fixture_names() -> list[str]:
-    out = []
-    for entry in (resources.files("concordant") / "fixtures").iterdir():
-        if entry.name.endswith(".fixture"):
-            out.append(entry.name[: -len(".fixture")])
-    return sorted(out)

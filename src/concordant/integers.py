@@ -289,10 +289,6 @@ def squarefree_part(n: int) -> tuple[int, int]:
     return sign * s, r
 
 
-def is_squarefree(n: int) -> bool:
-    return n != 0 and squarefree_part(n)[0] == n
-
-
 # ---------------------------------------------------------------------------
 # vectors
 

@@ -392,17 +392,6 @@ def parametrize_conic(form: TernaryForm, base: Triple) -> ConicParametrization:
     return param
 
 
-def raw_parametrization(form: TernaryForm, base: Triple) -> ConicParametrization:
-    """Projection rows with no canonical rescaling (content intact)."""
-    if form(*base) != 0:
-        raise InvalidArgument(f"{base} is not on {form.coefficients}")
-    rows = _projection_rows(form, base)
-    param = ConicParametrization(tuple(tuple(r) for r in rows), tuple(base), form)
-    if not param.is_valid():
-        raise VerificationFailure(f"projection from {base} misses {form.coefficients}")
-    return param
-
-
 @dataclass(frozen=True)
 class QuarticForm:
     """b40*s^4 + b31*s^3 t + b22*s^2 t^2 + b13*s t^3 + b04*t^4 + b33*Z^2."""
@@ -419,10 +408,6 @@ class QuarticForm:
         if g > 1:
             for name in ("b40", "b31", "b22", "b13", "b04", "b33"):
                 object.__setattr__(self, name, getattr(self, name) // g)
-
-    @property
-    def quartic_coefficients(self) -> tuple[int, int, int, int, int]:
-        return (self.b40, self.b31, self.b22, self.b13, self.b04)
 
 
 def compose_quartic(form: Triple, param: ConicParametrization) -> tuple[int, int, int, int, int]:

@@ -13,12 +13,12 @@ wins.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
-from .curves import log_height
 from .descent import HomogeneousSpace
 from .errors import (
     ConditionFailure,
@@ -257,72 +257,76 @@ def scan_schedule(
 
 
 # ---------------------------------------------------------------------------
-# weak search
+# the search result
 
-@dataclass
-class WeakState:
-    base: Triple
+@dataclass(frozen=True)
+class ChainState:
+    """What the strong chain produced beyond the hit itself, for reporting
+    and replay diffs.  Q3 is psi.source with base psi.base_point, Q4 is
+    gamma.source with base gamma.base_point."""
+
     phi: ConicParametrization
-    hit: tuple[int, int] = (0, 0)
-    pairs_tested: int = 0
-    selection: Optional[PairSelection] = None
+    psi: ConicParametrization
+    kernel: Triple
+    cross_term: int
+    mu_candidates: list[int]
+    completion_used: bool                 # mu came from extended_square_factors
+    mu: int
+    gamma: ConicParametrization
+    q5: TernaryForm
+    quartic: tuple[int, int, int, int, int]
+    sigma1: int
+    z_values: Quad
+    y_values: Triple
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchOutcome:
-    quadruple: Quad                       # in (X0, X1, X2, X3) order
-    method: str                           # "strong" or "weak"
-    state: object
-    diagnostics: dict = field(default_factory=dict)
+    """One hit of the search.  `quadruple` is in the selection's
+    (X0, X1, X2, X3) order and `space_solution` is the same point in the
+    space's (a, b, c, d) order, checked against all four quadrics.  A bare
+    `weak_solve` knows no space, so both of those fields are None there."""
 
+    method: str                           # "strong" or "weak"
+    quadruple: Quad
+    parameter: tuple[int, int]            # the scanned pair that hit
+    pairs_tested: int
+    selection: Optional[PairSelection] = None
+    space_solution: Optional[Quad] = None
+    chain: Optional[ChainState] = None    # None for a weak hit
+    degenerate_kernel: Optional[str] = None   # why a strong chain fell back
+
+
+# ---------------------------------------------------------------------------
+# weak search
 
 def weak_solve(
     q1: Triple,
     q2: Triple,
     schedule: RadiusSchedule,
     base: Optional[Triple] = None,
-    skip_zero_coordinates: bool = True,
 ) -> SearchOutcome:
     """Parametrize Q1 from any point, then scan coprime parameter pairs until
     -b33*(b00*F0^2 + b11*F1^2) is a nonzero perfect square; the quadruple is
     (F0, F1, F2, root) cleared to a primitive integer vector.
 
-    Hits whose quadruple has a zero coordinate are skipped by default; they
-    correspond to torsion images and are useless downstream.
+    Hits whose quadruple has a zero coordinate are skipped; they correspond
+    to torsion images and are useless downstream.  The outcome knows no
+    space, so its selection and space solution are None.
     """
     form = TernaryForm(q1[0], 0, q1[1], q1[2])
     if base is None:
         base = find_conic_point(form)
     phi = parametrize_conic(form, base)
     b00, b11, b33 = q2
-    sieve = quartic_sieve(
-        compose_quartic((-b33 * b00, 0, -b33 * b11), phi),
-        1,
-        phi.rows if skip_zero_coordinates else (),
-    )
+    sieve = quartic_sieve(compose_quartic((-b33 * b00, 0, -b33 * b11), phi), 1, phi.rows)
     hit = scan_schedule([sieve], schedule)
     if hit is None:
         raise EffortExhausted("weak search schedule exhausted")
     _, (s, t), root, tested = hit
-    quad = _weak_quadruple(phi.rows, b33, s, t, root)
-    state = WeakState(base, phi, (s, t), tested)
-    return SearchOutcome(
-        quad,
-        "weak",
-        state,
-        {
-            "pairs_tested": tested,
-            "parameter": (s, t),
-            "parameter_height": log_height((s, t)),
-            "quadruple_height": log_height(quad),
-        },
-    )
-
-
-def _weak_quadruple(rows, b33, s, t, root) -> Quad:
-    f = tuple(r[0] * s * s + r[1] * s * t + r[2] * t * t for r in rows)
     scale = abs(b33)
-    return primitive_normalize((scale * f[0], scale * f[1], scale * f[2], root))
+    quad = primitive_normalize(tuple(scale * f for f in phi(s, t)) + (root,))
+    return SearchOutcome("weak", quad, (s, t), tested)
 
 
 # ---------------------------------------------------------------------------
@@ -340,31 +344,6 @@ class StagePins:
     base_q4: Optional[Triple] = None
     gamma_rows: Optional[tuple[Triple, Triple, Triple]] = None
     rho: Optional[tuple[int, int]] = None
-
-
-@dataclass
-class ChainState:
-    """Everything the strong chain produced, for reporting and replay diffs."""
-
-    selection: PairSelection
-    phi: ConicParametrization
-    y_conic: TernaryForm
-    base_q3: Triple
-    psi: ConicParametrization
-    kernel: Triple
-    cross_term: int
-    mu_candidates: list[int]
-    mu: int
-    q4: TernaryForm
-    q5: TernaryForm
-    base_q4: Triple
-    gamma: ConicParametrization
-    quartic: tuple[int, int, int, int, int]
-    rho: tuple[int, int]
-    sigma1: int
-    z_values: Quad
-    y_values: Triple
-    x_values: Quad
 
 
 def pinned_parametrization(form: TernaryForm, base: Triple, rows) -> ConicParametrization:
@@ -402,15 +381,13 @@ def kernel_cross_term(kernel: Triple, psi: ConicParametrization) -> int:
     return sum(c * m for c, m in zip(kernel, mid))
 
 
-def _squarefree_divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 1:
-        return [1]
-    primes = [p for p, _ in factorize(n).factors]
-    divs = [1]
+def _signed_square_factors(primes: Sequence[int], keep: Callable[[int], bool]) -> list[int]:
+    """+-d for every squarefree product d of `primes` that `keep` accepts,
+    ordered by |mu|, positive first."""
+    cores = [1]
     for p in primes:
-        divs += [d * p for d in divs]
-    return sorted(divs)
+        cores += [c * p for c in cores]
+    return [mu for d in sorted(cores) for mu in (d, -d) if keep(mu)]
 
 
 def square_factor_candidates(cross_term: int, psi: ConicParametrization) -> list[int]:
@@ -421,13 +398,10 @@ def square_factor_candidates(cross_term: int, psi: ConicParametrization) -> list
     if cross_term == 0:
         raise DegenerateKernel("cross term vanishes; divisor condition is empty")
     core = abs(squarefree_part(cross_term)[0])
-    out = []
-    for d in _squarefree_divisors(core):
-        for mu in (d, -d):
-            if _scaled_rows_solvable(psi, mu) and _coprime_pattern_ok(psi, mu):
-                out.append(mu)
-    out.sort(key=lambda m: (abs(m), m < 0))
-    return out
+    return _signed_square_factors(
+        factorize(core).primes(),
+        lambda mu: _scaled_rows_solvable(psi, mu) and _coprime_pattern_ok(psi, mu),
+    )
 
 
 def _binary_resultant(f: Triple, g: Triple) -> int:
@@ -445,17 +419,9 @@ def extended_square_factors(psi: ConicParametrization) -> list[int]:
     res = _binary_resultant(psi.rows[0], psi.rows[1])
     if res == 0:
         raise DegenerateKernel("parametrization rows share a factor")
-    primes = factorize(abs(res)).primes()
-    cores = [1]
-    for p in primes:
-        cores += [c * p for c in cores]
-    out = []
-    for d in sorted(cores):
-        for mu in (d, -d):
-            if _scaled_rows_solvable(psi, mu):
-                out.append(mu)
-    out.sort(key=lambda m: (abs(m), m < 0))
-    return out
+    return _signed_square_factors(
+        factorize(abs(res)).primes(), lambda mu: _scaled_rows_solvable(psi, mu)
+    )
 
 
 def _coprime_pattern_ok(psi: ConicParametrization, mu: int) -> bool:
@@ -502,16 +468,6 @@ def scaled_square_conic(row: Triple, mu: int) -> TernaryForm:
     return TernaryForm(row[0], row[1], row[2], -mu)
 
 
-@dataclass
-class _MuState:
-    mu: int
-    q4: TernaryForm
-    q5: TernaryForm
-    base: Triple
-    gamma: ConicParametrization
-    quartic: tuple[int, ...]
-
-
 def strong_solve(
     space: HomogeneousSpace,
     schedule: Optional[RadiusSchedule] = None,
@@ -520,36 +476,30 @@ def strong_solve(
     """Full staged search on a homogeneous space.
 
     Falls back to the weak search when no quadric of the space has a
-    zero-coordinate point, or when the kernel stage degenerates.
+    zero-coordinate point, or when the kernel stage degenerates.  Either
+    hit is mapped to the space's variable order and checked against its
+    four quadrics here.
     """
     schedule = schedule or RadiusSchedule(1, 2000)
     pins = pins or StagePins()
+    degenerate = None
     try:
         sel = select_equation_pair(space)
-    except ConditionFailure:
-        return _weak_on_space(space, schedule, pins)
-    try:
-        return _strong_chain(space, sel, schedule, pins)
-    except DegenerateKernel as exc:
-        outcome = _weak_on_space(space, schedule, pins)
-        outcome.diagnostics["degenerate_kernel"] = str(exc)
-        return outcome
-
-
-def _weak_on_space(space, schedule, pins) -> SearchOutcome:
-    sel = weak_pair(space)
-    outcome = weak_solve(sel.q1, sel.q2, schedule, base=pins.base_q1)
-    outcome.state.selection = sel
-    outcome.diagnostics["pair"] = (sel.q1_name, sel.q2_name)
-    outcome.diagnostics["var_order"] = sel.var_order
+        outcome = _strong_chain(sel, schedule, pins)
+    except (ConditionFailure, DegenerateKernel) as exc:
+        if isinstance(exc, DegenerateKernel):
+            degenerate = str(exc)
+        sel = weak_pair(space)
+        outcome = weak_solve(sel.q1, sel.q2, schedule, base=pins.base_q1)
     solution = solution_in_space_order(sel, outcome.quadruple)
     if not space.satisfied_by(solution):
-        raise InvalidArgument("weak result does not satisfy the space")
-    outcome.diagnostics["space_solution"] = solution
-    return outcome
+        raise VerificationFailure(f"{outcome.method} result does not satisfy the space")
+    return dataclasses.replace(
+        outcome, selection=sel, space_solution=solution, degenerate_kernel=degenerate
+    )
 
 
-def _strong_chain(space, sel, schedule, pins) -> SearchOutcome:
+def _strong_chain(sel: PairSelection, schedule: RadiusSchedule, pins: StagePins) -> SearchOutcome:
     q1_form = TernaryForm(sel.q1[0], 0, sel.q1[1], sel.q1[2])
     base1 = pins.base_q1 or sel.base
     if pins.phi_rows is not None:
@@ -581,81 +531,53 @@ def _strong_chain(space, sel, schedule, pins) -> SearchOutcome:
     if not rounds:
         raise DegenerateKernel("no surviving square factors")
 
-    def _states_for(mus):
-        states = []
-        for mu in mus:
-            q4 = scaled_square_conic(psi.rows[0], mu)
-            q5 = scaled_square_conic(psi.rows[1], mu)
-            base_q4 = pins.base_q4 or find_conic_point(q4)
-            if pins.gamma_rows is not None:
-                gamma = pinned_parametrization(q4, base_q4, pins.gamma_rows)
-            else:
-                gamma = parametrize_conic(q4, base_q4)
-            quartic = compose_quartic(psi.rows[1], gamma)
-            states.append(_MuState(mu, q4, q5, base_q4, gamma, quartic))
-        return states
+    def _gamma(mu):
+        q4 = scaled_square_conic(psi.rows[0], mu)
+        base_q4 = pins.base_q4 or find_conic_point(q4)
+        if pins.gamma_rows is not None:
+            return pinned_parametrization(q4, base_q4, pins.gamma_rows)
+        return parametrize_conic(q4, base_q4)
 
-    completion_used = False
     if pins.rho is not None:
         if pins.mu is None:
             raise InvalidArgument("pinned final parameters need a pinned square factor")
-        s, t = pins.rho
-        states = _states_for(rounds[0])
-        st = states[0]
-        sigma1 = quartic_hit(st.quartic, st.mu, s, t)
+        mu, gamma = pins.mu, _gamma(pins.mu)
+        sigma1 = quartic_hit(compose_quartic(psi.rows[1], gamma), mu, *pins.rho)
         if sigma1 is None:
             raise InvalidArgument(f"pinned parameters {pins.rho} are not a hit")
-        si, rho, tested = 0, (s, t), 1
+        rho, tested, round_no = tuple(pins.rho), 1, 0
     else:
         # round-robin over the per-mu quartics with a shared shell radius
         for round_no, mus in enumerate(rounds):
-            states = _states_for(mus)
-            hit = scan_schedule([quartic_sieve(st.quartic, st.mu) for st in states], schedule)
+            gammas = [_gamma(mu) for mu in mus]
+            sieves = [
+                quartic_sieve(compose_quartic(psi.rows[1], g), m) for g, m in zip(gammas, mus)
+            ]
+            hit = scan_schedule(sieves, schedule)
             if hit is not None:
                 si, rho, sigma1, tested = hit
-                completion_used = round_no > 0
+                mu, gamma = mus[si], gammas[si]
                 break
         else:
             raise EffortExhausted("final search schedule exhausted")
 
-    st = states[si]
-    quadruple, zvec, yvec = back_substitute(phi, psi, st.mu, st.gamma, rho, sigma1, sel)
-    state = ChainState(
-        selection=sel,
+    quadruple, zvec, yvec = back_substitute(phi, psi, mu, gamma, rho, sigma1, sel)
+    chain = ChainState(
         phi=phi,
-        y_conic=y_conic,
-        base_q3=base_q3,
         psi=psi,
         kernel=kernel,
         cross_term=cross,
         mu_candidates=candidates,
-        mu=st.mu,
-        q4=st.q4,
-        q5=st.q5,
-        base_q4=st.base,
-        gamma=st.gamma,
-        quartic=st.quartic,
-        rho=rho,
+        completion_used=round_no > 0,
+        mu=mu,
+        gamma=gamma,
+        q5=scaled_square_conic(psi.rows[1], mu),
+        quartic=compose_quartic(psi.rows[1], gamma),
         sigma1=sigma1,
         z_values=zvec,
         y_values=yvec,
-        x_values=quadruple,
     )
-    solution = solution_in_space_order(sel, quadruple)
-    if not space.satisfied_by(solution):
-        raise InvalidArgument("strong result does not satisfy the space")
-    diagnostics = {
-        "pairs_tested": tested,
-        "mu": st.mu,
-        "mu_candidates": candidates,
-        "mu_completion": completion,
-        "completion_used": completion_used,
-        "parameter": rho,
-        "parameter_height": log_height(rho),
-        "quadruple_height": log_height(quadruple),
-        "space_solution": solution,
-    }
-    return SearchOutcome(quadruple, "strong", state, diagnostics)
+    return SearchOutcome("strong", quadruple, rho, tested, chain=chain)
 
 
 def back_substitute(

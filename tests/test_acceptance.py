@@ -33,7 +33,7 @@ from concordant.descent import (
 )
 from concordant.errors import ConditionFailure, EffortExhausted
 from concordant.fixtures import load_fixture
-from concordant.integers import RadiusSchedule, is_squarefree, primitive_normalize
+from concordant.integers import RadiusSchedule, primitive_normalize, squarefree_part
 from concordant.quadforms import LegendreForm, TernaryForm, legendre_solvable, parametrize_conic
 from concordant.solver import (
     select_equation_pair,
@@ -167,7 +167,7 @@ def test_criterion_03_confirmed_part_and_classes():
         (2, -6, -3): {(2, -6, -3), (7, 2, 14), (2, 21, 42), (7, -7, -1)},
     }
     for rep, expected in listings.items():
-        c = cls.class_containing(DescentTriplet(*rep))
+        c = next(c for c in cls.classes if DescentTriplet(*rep) in c["members"])
         assert {t.as_tuple() for t in c["members"]} == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -237,7 +237,7 @@ def test_criterion_06_weak_fallback_k23():
     out = strong_solve(hs, RadiusSchedule(1, 100))
     assert out.method == "weak"
     assert tuple(abs(v) for v in out.quadruple) == (7, 5, 1, 1)
-    point = lift_solution(t, 23, -69, out.diagnostics["space_solution"])
+    point = lift_solution(t, 23, -69, out.space_solution)
     assert (point.x, abs(point.y)) == (Fraction(75), Fraction(210))
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -250,7 +250,7 @@ def test_criterion_06_weak_fallback_other_members(k):
     t = DescentTriplet(2, 3, 6)
     hs = build_homogeneous_space(t, k, -3 * k)
     out = strong_solve(hs, RadiusSchedule(1, 300))
-    point = lift_solution(t, k, -3 * k, out.diagnostics["space_solution"])
+    point = lift_solution(t, k, -3 * k, out.space_solution)
     curve = ConcordantCurve(k, -3 * k)
     assert curve.contains(point)
     elapsed = time.perf_counter() - start
@@ -367,7 +367,7 @@ def test_criterion_09_property_suites():
 
 
 def _legendre_sweep(bound):
-    sf = [is_squarefree(v) for v in range(bound + 1)]
+    sf = [v > 0 and squarefree_part(v)[0] == v for v in range(bound + 1)]
     checked = 0
     for a in range(1, bound + 1):
         if not sf[a]:
@@ -419,12 +419,7 @@ def _weak_oracle_sweep(rng, systems):
         if not brute:
             continue
         try:
-            out = weak_solve(
-                (a00, a11, a22),
-                (b00, b11, b33),
-                RadiusSchedule(1, 400),
-                skip_zero_coordinates=False,
-            )
+            out = weak_solve((a00, a11, a22), (b00, b11, b33), RadiusSchedule(1, 400))
         except EffortExhausted:
             continue
         canonical = tuple(abs(v) for v in out.quadruple)

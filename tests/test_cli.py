@@ -26,7 +26,7 @@ from concordant.cli import (
 )
 from concordant.descent import DescentTriplet
 from concordant.errors import EffortExhausted, FactorizationIncomplete
-from concordant.fixtures import bundled_fixture_names, load_fixture, parse_fixture
+from concordant.fixtures import load_fixture, parse_fixture
 
 def _over_factoring_budget(psi):
     raise FactorizationIncomplete(10**40 + 1, [], 10**40 + 1)
@@ -411,9 +411,6 @@ class TestSolveJobMap:
 
 
 class TestReproduceCommand:
-    def test_bundled_fixtures_present(self):
-        assert set(bundled_fixture_names()) == {"k23-weak", "n142"}
-
     def test_n142_ok(self):
         report = run_reproduce(load_fixture("n142"))
         assert report["ok"] is True

@@ -22,7 +22,7 @@ from concordant.errors import (
     NotBiquadratic,
 )
 from concordant import quadforms
-from concordant.integers import primitive_normalize
+from concordant.integers import primitive_normalize, squarefree_part
 from concordant.quadforms import (
     ConicParametrization,
     LegendreForm,
@@ -32,7 +32,6 @@ from concordant.quadforms import (
     find_conic_point,
     legendre_solvable,
     parametrize_conic,
-    raw_parametrization,
     reduce_to_legendre,
     substitute_into_partner,
     zero_coordinate_point,
@@ -134,16 +133,13 @@ class TestLegendreSolvable:
 
     def test_agreement_small_sweep(self):
         # the full |abc| <= 3000 sweep runs in the acceptance suite
-        from concordant.integers import is_squarefree
-
-        for a in range(1, 14):
-            if not is_squarefree(a):
-                continue
-            for b in range(1, 14):
-                if not is_squarefree(b) or math.gcd(a, b) != 1:
+        squarefree = [v for v in range(1, 14) if squarefree_part(v)[0] == v]
+        for a in squarefree:
+            for b in squarefree:
+                if math.gcd(a, b) != 1:
                     continue
-                for c in range(1, 14):
-                    if not is_squarefree(c) or math.gcd(a, c) != 1 or math.gcd(b, c) != 1:
+                for c in squarefree:
+                    if math.gcd(a, c) != 1 or math.gcd(b, c) != 1:
                         continue
                     for sb in (1, -1):
                         for sc in (1, -1):
@@ -176,10 +172,8 @@ class TestFindConicPoint:
     def test_holzer_bounds_on_reduced_forms(self, rng):
         # when the input is already reduced, the returned point obeys the
         # (inclusive) Holzer bounds
-        from concordant.integers import is_squarefree
-
         checked = 0
-        squarefrees = [v for v in range(1, 40) if is_squarefree(v)]
+        squarefrees = [v for v in range(1, 40) if squarefree_part(v)[0] == v]
         for _ in range(600):
             if checked >= 25:
                 break
@@ -304,8 +298,11 @@ class TestZeroCoordinatePoint:
 
 class TestParametrizeConic:
     def test_projection_rows_match_published_first_stage(self):
-        raw = raw_parametrization(TernaryForm(3, 0, -8, 2), (0, 1, 2))
-        assert raw.rows == ((0, 16, 0), (8, 0, 3), (-16, 0, 6))
+        form = TernaryForm(3, 0, -8, 2)
+        rows = quadforms._projection_rows(form, (0, 1, 2))
+        assert rows == [[0, 16, 0], [8, 0, 3], [-16, 0, 6]]
+        # the canonical scaling halves the first parameter of the published rows
+        assert parametrize_conic(form, (0, 1, 2)).rows == ((0, 8, 0), (2, 0, 3), (-4, 0, 6))
 
     def test_canonical_rescale_second_stage(self):
         # the canonical scaling halves the second parameter here
@@ -383,13 +380,17 @@ class TestParametrizeConic:
                 assert quadforms._parameter_shrink(rows, sq_col) == oracle_parameter_shrink(rows, sq_col)
 
 
+def _quartic_coefficients(quartic):
+    return (quartic.b40, quartic.b31, quartic.b22, quartic.b13, quartic.b04)
+
+
 class TestSubstitution:
     def test_first_stage_substitution(self):
         phi = ConicParametrization(
             ((0, 16, 0), (8, 0, 3), (-16, 0, 6)), (0, 1, 2), TernaryForm(3, 0, -8, 2)
         )
         quartic = substitute_into_partner(phi, (1, 0, -2, -142))
-        assert quartic.quartic_coefficients == (-64, 0, 80, 0, -9)
+        assert _quartic_coefficients(quartic) == (-64, 0, 80, 0, -9)
         assert quartic.b33 == -71
 
     def test_corollary_kills_odd_coefficients(self, rng):
@@ -414,7 +415,7 @@ class TestSubstitution:
         published = (-9159, 359260, -5176610, 32218380, -73204479)
         # the raw substitution carries content 71; the normalized form is
         # proportional to the published coefficients
-        assert tuple(71 * c for c in quartic.quartic_coefficients) == published
+        assert tuple(71 * c for c in _quartic_coefficients(quartic)) == published
         assert quartic.b33 * 71 == 71
 
     def test_substitution_matches_expansion_oracle(self, rng):
@@ -453,7 +454,7 @@ class TestSubstitution:
             object.__setattr__(param, "base_point", (0, 0, 1))
             object.__setattr__(param, "source", None)
             quartic = substitute_into_partner(param, (b00, b01, b11, b33))
-            assert quartic.quartic_coefficients == tuple(v // g for v in expected)
+            assert _quartic_coefficients(quartic) == tuple(v // g for v in expected)
             assert quartic.b33 == b33 // g
 
 

@@ -3,10 +3,23 @@ import math
 import pytest
 from conftest import oracle_final_search, oracle_scan_quartic, oracle_scan_weak
 
-from concordant.curves import ConcordantCurve
+import concordant.solver
+from concordant.curves import ConcordantCurve, log_height
 from concordant.descent import DescentTriplet, build_homogeneous_space, lift_solution
-from concordant.errors import ConditionFailure, EffortExhausted, InvalidArgument
-from concordant.integers import RadiusSchedule, is_perfect_square, shell_pairs, squarefree_part
+from concordant.errors import (
+    ConditionFailure,
+    DegenerateKernel,
+    EffortExhausted,
+    InvalidArgument,
+    VerificationFailure,
+)
+from concordant.integers import (
+    RadiusSchedule,
+    is_perfect_square,
+    primitive_normalize,
+    shell_pairs,
+    squarefree_part,
+)
 from concordant.quadforms import TernaryForm, compose_quartic, find_conic_point, parametrize_conic
 from concordant.solver import (
     SIEVE_PRIMES,
@@ -80,17 +93,17 @@ class TestWeakSolve:
             out = strong_solve(hs, RadiusSchedule(1, 300))
             assert out.method == "weak"
             c = ConcordantCurve(k, -3 * k)
-            point = lift_solution(
-                DescentTriplet(2, 3, 6), k, -3 * k, out.diagnostics["space_solution"]
-            )
+            point = lift_solution(DescentTriplet(2, 3, 6), k, -3 * k, out.space_solution)
             assert c.contains(point)
 
     def test_height_ratio_diagnostic(self):
         hs = build_homogeneous_space(DescentTriplet(2, 3, 6), 23, -69)
         sel = weak_pair(hs)
         out = weak_solve(sel.q1, sel.q2, RadiusSchedule(1, 50), base=(1, 1, 1))
-        assert "parameter_height" in out.diagnostics
-        assert "quadruple_height" in out.diagnostics
+        # the reported heights are read off the typed hit
+        assert (out.parameter, out.pairs_tested) == ((-1, 1), 2)
+        assert log_height(out.parameter) == 0.0
+        assert log_height(out.quadruple) == math.log10(7)
 
     def test_exhaustion(self):
         # the minimal weak parameters for this pair are far beyond radius 3
@@ -119,8 +132,6 @@ def _brute_system_solutions(q1, q2, bound):
                 continue
             r2, r3 = math.isqrt(s), math.isqrt(t)
             if r2 * r2 == s and r3 * r3 == t and any((x0, x1, r2, r3)):
-                from concordant.integers import primitive_normalize
-
                 sols.add(primitive_normalize((abs(x0), abs(x1), r2, r3)))
     return sols
 
@@ -143,10 +154,7 @@ def _weak_matches_bruteforce(rng, systems):
         if not brute:
             continue
         try:
-            out = weak_solve(
-                (a00, a11, a22), (b00, b11, b33), RadiusSchedule(1, 400),
-                skip_zero_coordinates=False,
-            )
+            out = weak_solve((a00, a11, a22), (b00, b11, b33), RadiusSchedule(1, 400))
         except EffortExhausted:
             continue
         canonical = tuple(abs(v) for v in out.quadruple)
@@ -256,7 +264,8 @@ class TestFinalLoop:
         )
         out = strong_solve(hs, RadiusSchedule(1, 500), pins=pins)
         assert out.quadruple == (2352960, 1604507, -1411786, -52241)
-        st = out.state
+        assert (out.parameter, out.pairs_tested) == ((20, 3), 1)
+        st = out.chain
         assert st.z_values == (1111, 2390, -380, 387)
         assert st.y_values == (-10252400, -10633599, 3709111)
         assert st.quartic == QUARTIC_142
@@ -268,7 +277,7 @@ class TestStrongSolve:
     def test_free_choice_n142(self):
         hs = build_homogeneous_space(DescentTriplet(1, 2, 2), 142, -426)
         out = strong_solve(hs, RadiusSchedule(1, 500))
-        solution = out.diagnostics["space_solution"]
+        solution = out.space_solution
         assert hs.satisfied_by(solution)
         point = lift_solution(DescentTriplet(1, 2, 2), 142, -426, solution)
         curve = ConcordantCurve(142, -426)
@@ -278,7 +287,7 @@ class TestStrongSolve:
     def test_stage_identities_hold(self):
         hs = build_homogeneous_space(DescentTriplet(1, 2, 2), 142, -426)
         out = strong_solve(hs, RadiusSchedule(1, 500))
-        st = out.state
+        st = out.chain
         assert st.phi.is_valid()
         assert st.psi.is_valid()
         assert st.gamma.is_valid()
@@ -291,6 +300,8 @@ class TestStrongSolve:
         out = strong_solve(hs, RadiusSchedule(1, 100))
         assert out.method == "weak"
         assert tuple(abs(v) for v in out.quadruple) == (7, 5, 1, 1)
+        # no quadric has a zero-coordinate point: the kernel was never reached
+        assert (out.chain, out.degenerate_kernel) == (None, None)
 
     def test_mu_override_validated(self):
         hs = build_homogeneous_space(DescentTriplet(1, 2, 2), 142, -426)
@@ -304,14 +315,42 @@ class TestStrongSolve:
         ]:
             hs = build_homogeneous_space(t, m, n)
             out = strong_solve(hs, RadiusSchedule(1, 300))
-            assert hs.satisfied_by(out.diagnostics["space_solution"])
+            assert hs.satisfied_by(out.space_solution)
 
     def test_descent_consistency_of_lift(self):
         t = DescentTriplet(1, 2, 2)
         hs = build_homogeneous_space(t, 14, -42)
         out = strong_solve(hs, RadiusSchedule(1, 300))
-        point = lift_solution(t, 14, -42, out.diagnostics["space_solution"])
+        point = lift_solution(t, 14, -42, out.space_solution)
         assert ConcordantCurve(14, -42).square_classes(point) == t.as_tuple()
+
+    def test_degenerate_kernel_falls_back_to_weak(self, monkeypatch):
+        def degenerate(psi):
+            raise DegenerateKernel("pure-square columns are linearly dependent")
+
+        monkeypatch.setattr(concordant.solver, "parameter_kernel", degenerate)
+        hs = build_homogeneous_space(DescentTriplet(1, 2, 2), 14, -42)
+        out = strong_solve(hs, RadiusSchedule(1, 300))
+        assert (out.method, out.pairs_tested) == ("weak", 2)
+        assert out.degenerate_kernel == "pure-square columns are linearly dependent"
+        assert out.chain is None
+        assert out.selection == weak_pair(hs)
+        assert hs.satisfied_by(out.space_solution)
+
+    @pytest.mark.parametrize(
+        "triplet, m, n, method",
+        [((1, 2, 2), 14, -42, "strong"), ((2, 3, 6), 23, -69, "weak")],
+    )
+    def test_space_check_failure_is_a_defect(self, monkeypatch, triplet, m, n, method):
+        def permuted(sel, quad):
+            a, b, c, d = solution_in_space_order(sel, quad)
+            return (b, a, d, c)
+
+        hs = build_homogeneous_space(DescentTriplet(*triplet), m, n)
+        assert strong_solve(hs, RadiusSchedule(1, 300)).method == method
+        monkeypatch.setattr(concordant.solver, "solution_in_space_order", permuted)
+        with pytest.raises(VerificationFailure, match=f"{method} result does not satisfy"):
+            strong_solve(hs, RadiusSchedule(1, 300))
 
     def test_pinned_parametrization_validation(self):
         q1 = TernaryForm(3, 0, -8, 2)
@@ -386,10 +425,16 @@ class TestScanKernel:
         # on X0^2 + X1^2 = X2^2 every pair is a hit for X0^2 + X1^2 = X3^2,
         # and every pair of shell 1 gives a zero coordinate
         q, schedule = (1, 1, -1), RadiusSchedule(1, 5)
-        kept = weak_solve(q, q, schedule, skip_zero_coordinates=False)
-        skipped = weak_solve(q, q, schedule)
-        assert (kept.quadruple, kept.diagnostics["pairs_tested"]) == ((1, 0, 1, 1), 1)
-        assert (skipped.quadruple, skipped.diagnostics["pairs_tested"]) == ((3, 4, 5, 5), 6)
+        form = TernaryForm(1, 0, 1, -1)
+        phi = parametrize_conic(form, find_conic_point(form))
+        quartic = compose_quartic((1, 0, 1), phi)
+        found = []
+        for nonzero in ((), phi.rows):
+            _, (s, t), root, tested = scan_schedule([quartic_sieve(quartic, 1, nonzero)], schedule)
+            found.append((primitive_normalize(phi(s, t) + (root,)), tested))
+        assert found == [((1, 0, 1, 1), 1), ((3, 4, 5, 5), 6)]
+        out = weak_solve(q, q, schedule)
+        assert (out.quadruple, out.pairs_tested) == ((3, 4, 5, 5), 6)
 
     def test_square_value_is_never_sieved_out(self):
         hypothesis = pytest.importorskip("hypothesis")
