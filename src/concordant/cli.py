@@ -83,11 +83,16 @@ def _curve_only(args) -> ConcordantCurve:
     raise InvalidArgument("curve parameters (--p --q --k or --M --N) are required")
 
 
-def _parse_triplet(text: str) -> DescentTriplet:
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise InvalidArgument("triplet must be A,B,C")
-    return DescentTriplet(*parts)
+def _parse_list(flag: str, text: str, count: int, kind=int) -> list:
+    """The `count` comma-separated values of a flag, each read by `kind`
+    (int or Fraction); a malformed list is a usage error."""
+    parts = text.split(",")
+    if len(parts) != count:
+        raise InvalidArgument(f"{flag} needs {count} comma-separated values, got {text!r}")
+    try:
+        return [kind(v) for v in parts]
+    except (ValueError, ZeroDivisionError):
+        raise InvalidArgument(f"{flag} has a malformed value in {text!r}") from None
 
 
 def pins_from_fixture(fixture: Fixture) -> StagePins:
@@ -288,10 +293,10 @@ def run_solve(
 def run_verify(args) -> dict:
     report = {"command": "verify", "checks": []}
     if args.weierstrass:
-        a2, a4, a6 = (int(x) for x in args.weierstrass.split(","))
+        a2, a4, a6 = _parse_list("--weierstrass", args.weierstrass, 3)
         if not args.point:
             raise InvalidArgument("--weierstrass needs --point")
-        x, y = (Fraction(v) for v in args.point.split(","))
+        x, y = _parse_list("--point", args.point, 2, Fraction)
         ok = y * y == x**3 + a2 * x * x + a4 * x + a6
         report["checks"].append(
             {
@@ -306,7 +311,7 @@ def run_verify(args) -> dict:
         return report
     curve = _curve_only(args)
     if args.point:
-        x, y = (Fraction(v) for v in args.point.split(","))
+        x, y = _parse_list("--point", args.point, 2, Fraction)
         pt = CurvePoint.affine(x, y)
         ok = curve.contains(pt)
         entry = {
@@ -321,9 +326,7 @@ def run_verify(args) -> dict:
             entry["torsion"] = curve.is_torsion(pt)
         report["checks"].append(entry)
     elif args.quadruple:
-        quad = tuple(int(v) for v in args.quadruple.split(","))
-        if len(quad) != 4:
-            raise InvalidArgument("--quadruple needs four integers")
+        quad = tuple(_parse_list("--quadruple", args.quadruple, 4))
         res = curve.quadric_residues(quad)
         ok = res == (0, 0)
         entry = {
@@ -700,7 +703,9 @@ def main(argv=None) -> int:
             report = run_classify(p, q, k)
         elif args.command == "solve":
             p, q, k = _curve_only(args).pqk()
-            triplet = _parse_triplet(args.triplet) if args.triplet else None
+            triplet = None
+            if args.triplet:
+                triplet = DescentTriplet(*_parse_list("--triplet", args.triplet, 3))
             pins = None
             if args.fixture:
                 fixture = load_fixture(args.fixture)

@@ -2,9 +2,10 @@
 
 Square classes, the finite class group generated by the bad primes, triplets
 (A, B, C) indexing homogeneous spaces (with A*B*C a perfect square and A > 0),
-the action of the 2-torsion points on triplets, the per-triplet solvability
-filter, construction of the four three-variable quadrics of a homogeneous
-space, and lifting of solutions back to curve points.
+the action of the 2-torsion points on triplets, the solvability filter
+decided from a per-curve table of Legendre symbols, construction of the four
+three-variable quadrics of a homogeneous space, and lifting of solutions back
+to curve points.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import ConcordantCurve, CurvePoint
-from .errors import InvalidArgument, VerificationFailure
+from .errors import DegenerateForm, InvalidArgument, VerificationFailure
 from .integers import factorize, is_perfect_square, primitive_normalize, squarefree_part
-from .quadforms import TernaryForm, legendre_solvable, reduce_to_legendre
+from .quadforms import TernaryForm
 
 
 def class_mul(u: int, v: int) -> int:
@@ -192,16 +193,120 @@ def build_homogeneous_space(t: DescentTriplet, m: int, n: int) -> HomogeneousSpa
     return HomogeneousSpace(t, m, n, e_a, e_b, e_c, e_d)
 
 
+class SolvabilityTable:
+    """Legendre criterion for the four quadrics of y^2 = x(x + m)(x + n) over
+    the square classes generated by a fixed prime set.
+
+    A square class is an F2 exponent vector stored as an int: one bit for -1
+    and one per generator, in `generators` order.  Every quadric coefficient
+    is a signed product of generators, so reduction and the criterion act on
+    exponent parities alone, against a table of Legendre symbols between the
+    generators built once (Serre, A Course in Arithmetic, ch. III-IV)."""
+
+    def __init__(self, generators: list[int], m: int, n: int):
+        if m == 0 or n == 0 or m == n:
+            raise DegenerateForm("m, n and m - n must be nonzero")
+        self.generators = generators
+        self._neg = 1 << generators.index(-1)
+        self._primes = [(1 << i, g) for i, g in enumerate(generators) if g > 1]
+        self._odd = 0
+        # bit of the odd prime p -> mask of the generators g != p with (g/p) = -1
+        self._nonresidues: dict[int, int] = {}
+        for bit, p in self._primes:
+            if p == 2:
+                continue
+            self._odd |= bit
+            self._nonresidues[bit] = sum(
+                1 << i
+                for i, g in enumerate(generators)
+                if g != p and pow(g % p, (p - 1) // 2, p) == p - 1
+            )
+        # memos: value -> vector, and reduced vector -> value for the evidence
+        self._vectors: dict[int, int] = {}
+        self._values: dict[int, int] = {}
+        self._m, self._n, self._d = self._vector(m), self._vector(n), self._vector(m - n)
+
+    def _vector(self, value: int) -> int:
+        # exponent parities of a nonzero value whose primes are generators
+        vec = self._vectors.get(value)
+        if vec is not None:
+            return vec
+        vec = self._neg if value < 0 else 0
+        rest = abs(value)
+        for bit, p in self._primes:
+            while rest % p == 0:
+                rest //= p
+                vec ^= bit
+        if rest != 1:
+            raise InvalidArgument(f"{value} has a prime outside {self.generators}")
+        self._vectors[value] = vec
+        return vec
+
+    def _value(self, vec: int) -> int:
+        value = self._values.get(vec)
+        if value is None:
+            value = -1 if vec & self._neg else 1
+            for bit, p in self._primes:
+                if vec & bit:
+                    value *= p
+            self._values[vec] = value
+        return value
+
+    def _passes(self, x: int, y: int, z: int) -> bool:
+        # x, y, z are reduced: prime bits pairwise disjoint, x positive
+        neg = self._neg
+        if not (y | z) & neg:
+            return False
+        for r, s, t in ((z, x, y), (y, x, z), (x, y, z)):
+            # -s*t must be a residue mod every odd prime of r
+            odd = r & self._odd
+            minus_st = s ^ t ^ neg
+            while odd:
+                low = odd & -odd
+                if (minus_st & self._nonresidues[low]).bit_count() & 1:
+                    return False
+                odd ^= low
+        return True
+
+    def verdict(self, t: DescentTriplet) -> tuple[bool, str]:
+        """(verdict, evidence) for one triplet, as in `triplet_solvable`."""
+        va, vb, vc = self._vector(t.a), self._vector(t.b), self._vector(t.c)
+        vm, vn, vd, neg = self._m, self._n, self._d, self._neg
+        # build_homogeneous_space's coefficients, in HomogeneousSpace.quadrics order
+        quadrics = (
+            ("e_d", vn ^ va, vd ^ vb, neg ^ vm ^ vc),
+            ("e_a", va, neg ^ vb, neg ^ vm),
+            ("e_b", vb, neg ^ vc, vn),
+            ("e_c", va, neg ^ vc, neg ^ vd),
+        )
+        prime_bits = ~neg
+        for name, x, y, z in quadrics:
+            if x & neg:
+                # primitive_normalize: the first coefficient turns positive
+                x, y, z = x ^ neg, y ^ neg, z ^ neg
+            # a prime in one coefficient stays, in two moves to the third,
+            # in three drops out: the parities reduce_to_legendre leaves.
+            # Dividing out content only complements a prime's pattern, which
+            # leaves this unchanged.
+            x, y, z = (
+                (x ^ y) & (x ^ z) & prime_bits | x & neg,
+                (y ^ x) & (y ^ z) & prime_bits | y & neg,
+                (z ^ x) & (z ^ y) & prime_bits | z & neg,
+            )
+            if not self._passes(x, y, z):
+                reduced = (self._value(x), self._value(y), self._value(z))
+                return False, f"{name} reduces to {reduced}: criterion fails"
+        return True, "all four quadrics pass the criterion"
+
+
 def triplet_solvable(t: DescentTriplet, m: int, n: int) -> tuple[bool, str]:
     """Necessary condition: each of the four quadrics must individually pass
     the Legendre criterion after reduction.  Returns (verdict, evidence);
     the evidence names the failing quadric and its reduced coefficients."""
-    space = build_homogeneous_space(t, m, n)
-    for name, form, _ in space.quadrics():
-        reduced = reduce_to_legendre(form)
-        if not legendre_solvable(reduced):
-            return False, f"{name} reduces to {reduced.coefficients}: criterion fails"
-    return True, "all four quadrics pass the criterion"
+    generators = {-1, 2}
+    for value in (m, n, m - n, *t.as_tuple()):
+        generators |= _prime_divisors(value)
+    return SolvabilityTable(sorted(generators), m, n).verdict(t)
 
 
 @dataclass
@@ -238,13 +343,11 @@ def classify(p: int, q: int, k: int) -> Classification:
     generators = descent_generators(p, q, k)
     triplets = enumerate_triplets(generators)
     table = torsion_value_table(p, q, k)
+    solvability = SolvabilityTable(generators, m, n)
     unit = DescentTriplet(1, 1, 1)
     classes = []
     for members in torsion_equivalence_classes(triplets, table):
-        verdicts = []
-        for t in members:
-            ok, evidence = triplet_solvable(t, m, n)
-            verdicts.append((t, ok, evidence))
+        verdicts = [(t, *solvability.verdict(t)) for t in members]
         classes.append(
             {
                 "members": members,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from concordant.descent import build_homogeneous_space
 from concordant.errors import EffortExhausted, NoSolution
 from concordant.integers import (
     factorize,
@@ -12,7 +13,13 @@ from concordant.integers import (
     shell_pairs,
     squarefree_part,
 )
-from concordant.quadforms import LegendreForm, TernaryForm, diagonal_model, legendre_solvable
+from concordant.quadforms import (
+    LegendreForm,
+    TernaryForm,
+    diagonal_model,
+    legendre_solvable,
+    reduce_to_legendre,
+)
 
 
 def brute_legendre_solvable(a: int, b: int, c: int) -> bool:
@@ -217,6 +224,17 @@ def oracle_final_search(quartics_mus, cap):
                 return qi, (hit[1], hit[2]), hit[3], hit[0] + 1
             offset += len(pairs)
     return None
+
+
+def oracle_triplet_solvable(t, m: int, n: int) -> tuple[bool, str]:
+    """The per-triplet filter the Legendre-symbol table replaced: build the
+    four quadrics, reduce each and apply the criterion to the reduced form."""
+    space = build_homogeneous_space(t, m, n)
+    for name, form, _ in space.quadrics():
+        reduced = reduce_to_legendre(form)
+        if not legendre_solvable(reduced):
+            return False, f"{name} reduces to {reduced.coefficients}: criterion fails"
+    return True, "all four quadrics pass the criterion"
 
 
 def random_solvable_form(rng: random.Random, with_cross=True, coeff_bound=9):

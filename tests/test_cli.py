@@ -270,6 +270,25 @@ class TestVerifyCommand:
         assert json.loads(capsys.readouterr().out)["valid"] is True
 
 
+class TestMalformedValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--p", "1", "--q", "1", "--k", "5", "--point", "1"],
+            ["verify", "--p", "1", "--q", "1", "--k", "5", "--point", "1,0/0"],
+            ["verify", "--p", "1", "--q", "1", "--k", "5", "--quadruple", "1,2,x"],
+            ["verify", "--weierstrass", "1,2", "--point", "1,2"],
+            ["solve", "--p", "1", "--q", "1", "--k", "5", "--triplet", "1,x,2"],
+        ],
+    )
+    def test_usage_error(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestSeriesCommand:
     def test_empty_range_header_only(self, capsys):
         assert main(["series", "--family", "cong5", "--max-k", "4"]) == EXIT_OK

@@ -1,10 +1,14 @@
+import itertools
 import math
+import random
 
 import pytest
+from conftest import oracle_triplet_solvable
 
 from concordant.curves import ConcordantCurve, CurvePoint
 from concordant.descent import (
     DescentTriplet,
+    SolvabilityTable,
     build_homogeneous_space,
     class_group,
     class_mul,
@@ -16,8 +20,8 @@ from concordant.descent import (
     torsion_value_table,
     triplet_solvable,
 )
-from concordant.errors import InvalidArgument
-from concordant.integers import is_perfect_square, squarefree_part
+from concordant.errors import DegenerateForm, InvalidArgument
+from concordant.integers import factorize, is_perfect_square, squarefree_part
 
 
 class TestSquareClassAlgebra:
@@ -163,6 +167,90 @@ class TestSolvabilityFilter:
         for l in (3, 11, 19):
             ok, _ = triplet_solvable(DescentTriplet(2, -2, -1), 2 * l, -2 * l)
             assert not ok
+
+
+def _assert_classify_matches_oracle(p, q, k):
+    m, n = p * k, -q * k
+    for cls in classify(p, q, k).classes:
+        for t, ok, evidence in cls["verdicts"]:
+            assert (ok, evidence) == oracle_triplet_solvable(t, m, n), (p, q, k, t)
+
+
+def _primes_upto(bound):
+    return [v for v in range(2, bound + 1) if all(v % d for d in range(2, math.isqrt(v) + 1))]
+
+
+class TestSolvabilityTable:
+    """Verdict and evidence of the Legendre-symbol table against the
+    reduce-then-test oracle, triplet by triplet."""
+
+    def test_classify_workload_three_primes(self):
+        for primes in itertools.combinations((17, 19, 23, 29, 31, 37, 41, 43, 47), 3):
+            _assert_classify_matches_oracle(1, 1, math.prod(primes))
+
+    def test_classified_families(self):
+        primes = _primes_upto(200)
+        curves = [(1, 1, v) for v in primes if v % 8 in (5, 7)]
+        curves += [(1, 1, 2 * v) for v in primes if v <= 100 and v % 8 == 7]
+        curves += [(1, 3, v) for v in primes if v % 24 == 5]
+        for p, q, k in curves:
+            _assert_classify_matches_oracle(p, q, k)
+
+    def test_seeded_curves_with_square_factors(self):
+        # p, q and p + q are not squarefree in general, e.g. (1, 8) has p + q = 9
+        rng = random.Random(7)
+        curves = [(1, 8, 15), (9, 16, 7), (4, 5, 1)]
+        while len(curves) < 300:
+            p, q, k = rng.randint(1, 40), rng.randint(1, 40), rng.randint(1, 3000)
+            if math.gcd(p, q) == 1 and squarefree_part(k)[0] == k:
+                curves.append((p, q, k))
+        for p, q, k in curves:
+            m, n = p * k, -q * k
+            generators = descent_generators(p, q, k)
+            table = SolvabilityTable(generators, m, n)
+            group = class_group(generators)
+            positives = [g for g in group if g > 0]
+            for _ in range(12):
+                a, b = rng.choice(positives), rng.choice(group)
+                t = DescentTriplet(a, b, class_mul(a, b))
+                assert table.verdict(t) == oracle_triplet_solvable(t, m, n), (p, q, k, t)
+
+    @pytest.mark.parametrize("m, n", [(3, -5), (12, -4), (-7, 21)])
+    def test_public_filter_off_the_curve_shape(self, m, n):
+        # m - n brings in primes neither m nor n has
+        generators = {-1, 2}
+        for v in (m, n, m - n):
+            generators |= {p for p, _ in factorize(v).factors}
+        for t in enumerate_triplets(sorted(generators)):
+            assert triplet_solvable(t, m, n) == oracle_triplet_solvable(t, m, n), t
+
+    def test_public_filter_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(
+            st.integers(-400, 400),
+            st.integers(-400, 400),
+            st.integers(1, 300),
+            st.integers(-300, 300),
+            st.integers(1, 3),
+        )
+        def check(m, n, a, b, r):
+            hypothesis.assume(m != 0 and n != 0 and m != n and b != 0)
+            # C carries a square factor, so the components need not be squarefree
+            t = DescentTriplet(a, b, squarefree_part(a * b)[0] * r * r)
+            assert triplet_solvable(t, m, n) == oracle_triplet_solvable(t, m, n)
+
+        check()
+
+    @pytest.mark.parametrize("m, n", [(0, 5), (5, 0), (5, 5)])
+    def test_zero_coefficient_rejected_like_oracle(self, m, n):
+        t = DescentTriplet(1, 2, 2)
+        with pytest.raises(DegenerateForm):
+            oracle_triplet_solvable(t, m, n)
+        with pytest.raises(DegenerateForm):
+            triplet_solvable(t, m, n)
 
 
 class TestHomogeneousSpace:
