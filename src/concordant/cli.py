@@ -55,6 +55,10 @@ EXIT_MISMATCH = 4
 
 def _s(value) -> str:
     """Decimal-string encoding for arbitrary-precision values."""
+    # exact-type test first: isinstance against Fraction goes through the
+    # numbers ABCs, and almost every value encoded is a plain int
+    if type(value) is int:
+        return str(value)
     if isinstance(value, Fraction):
         return str(value)
     return str(int(value))

@@ -99,10 +99,6 @@ class ConcordantCurve:
             raise NotNormalized(f"gcd(m, -n) = {k} is not squarefree")
         return (self.m // k, -self.n // k, k)
 
-    def discriminant(self) -> int:
-        p, q, k = self.pqk()
-        return 16 * p * p * q * q * (p + q) ** 2 * k**6
-
     # -- membership and group law ------------------------------------------
 
     def rhs(self, x: Fraction) -> Fraction:
@@ -121,6 +117,11 @@ class ConcordantCurve:
         """Chord-tangent addition with infinity as the neutral element."""
         self._require(p)
         self._require(q)
+        return self._add_unchecked(p, q)
+
+    def _add_unchecked(self, p: CurvePoint, q: CurvePoint) -> CurvePoint:
+        # the group law proper; callers have checked that p and q are on the
+        # curve, and a sum of two such points is on it again
         if p.is_infinity:
             return q
         if q.is_infinity:
@@ -139,11 +140,12 @@ class ConcordantCurve:
         return CurvePoint(x3, y3)
 
     def multiply(self, k: int, p: CurvePoint) -> CurvePoint:
+        self._require(p)
         if k < 0:
-            return self.multiply(-k, p.negate())
+            k, p = -k, p.negate()
         acc = CurvePoint.infinity()
         for _ in range(k):
-            acc = self.add(acc, p)
+            acc = self._add_unchecked(acc, p)
         return acc
 
     def two_torsion(self) -> tuple[CurvePoint, CurvePoint, CurvePoint, CurvePoint]:
@@ -155,21 +157,34 @@ class ConcordantCurve:
         )
 
     def is_torsion(self, p: CurvePoint, max_order: int = 12) -> bool:
-        """Exact torsion test: the torsion order of a rational point on a
-        rational elliptic curve is at most 12, so p is torsion iff some
-        multiple k*p with k <= 12 is the identity."""
+        """Exact torsion test for a point on the curve (InvalidArgument if it
+        is not on it).
+
+        Lutz-Nagell: on a model y^2 = x^3 + a*x^2 + b*x + c with integer
+        coefficients, every rational torsion point other than infinity has
+        integer coordinates.  y^2 = x(x+m)(x+n) is such a model, so a point
+        whose x has a denominator is non-torsion.  For an integral point the
+        test falls back to the group law: the torsion order of a rational
+        point on a rational elliptic curve is at most 12 (Mazur), so p is
+        torsion iff some multiple k*p with k <= max_order is the identity."""
+        self._require(p)
+        if p.is_infinity:
+            return True
+        if p.x.denominator != 1:
+            return False
         acc = p
-        for _ in range(max_order):
+        for _ in range(max_order - 1):
+            acc = self._add_unchecked(acc, p)
             if acc.is_infinity:
                 return True
-            acc = self.add(acc, p)
         return False
 
     def torsion_translates(self, p: CurvePoint) -> list[CurvePoint]:
         """The eight points +-(p + T) over the four 2-torsion points T."""
+        self._require(p)
         out = []
         for t in self.two_torsion():
-            s = self.add(p, t)
+            s = self._add_unchecked(p, t)
             out.append(s)
             out.append(s.negate())
         return out

@@ -237,6 +237,18 @@ def oracle_triplet_solvable(t, m: int, n: int) -> tuple[bool, str]:
     return True, "all four quadrics pass the criterion"
 
 
+def oracle_is_torsion(curve, p, max_order: int = 12) -> bool:
+    """The group-law loop the Lutz-Nagell early exit replaced: p is torsion
+    iff one of p, 2p, ..., max_order*p is the identity, each sum through the
+    checked public add."""
+    acc = p
+    for _ in range(max_order):
+        if acc.is_infinity:
+            return True
+        acc = curve.add(acc, p)
+    return False
+
+
 def random_solvable_form(rng: random.Random, with_cross=True, coeff_bound=9):
     """Plant a point: pick a base and three coefficients, solve for the
     fourth so the base lies on the conic."""

@@ -1,9 +1,13 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from conftest import oracle_is_torsion
 
 from concordant.curves import ConcordantCurve, CurvePoint, log_height, point_log_height
 from concordant.errors import InvalidArgument, NotNormalized
+from concordant.integers import factorize
 
 ZAGIER_157 = CurvePoint.affine(
     Fraction(-166136231668185267540804, 2825630694251145858025),
@@ -57,9 +61,6 @@ class TestCurveAndMembership:
         with pytest.raises(NotNormalized):
             ConcordantCurve(4, -4).pqk()  # gcd is not squarefree
 
-    def test_discriminant(self):
-        assert ConcordantCurve(5, -5).discriminant() == 16 * 4 * 5**6
-
     def test_membership_examples(self):
         assert ConcordantCurve(23, -69).contains(CurvePoint.affine(75, 210))
         assert ConcordantCurve(157, -157).contains(ZAGIER_157)
@@ -112,11 +113,103 @@ class TestGroupLaw:
         c = ConcordantCurve(23, -69)
         with pytest.raises(InvalidArgument):
             c.add(CurvePoint.affine(1, 1), CurvePoint.infinity())
+        # every public entry checks its point before any shortcut
+        for bad in (CurvePoint.affine(1, 1), CurvePoint.affine(Fraction(1, 2), 1)):
+            with pytest.raises(InvalidArgument):
+                c.is_torsion(bad)
+            with pytest.raises(InvalidArgument):
+                c.multiply(0, bad)
+            with pytest.raises(InvalidArgument):
+                c.multiply(-3, bad)
+            with pytest.raises(InvalidArgument):
+                c.torsion_translates(bad)
 
     def test_torsion_detection(self):
         c = ConcordantCurve(23, -69)
         assert c.is_torsion(CurvePoint.affine(0, 0))
         assert not c.is_torsion(CurvePoint.affine(75, 210))
+
+
+def _divisors(n):
+    out = [1]
+    for p, e in factorize(n).factors:
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return out
+
+
+def _lutz_nagell_candidates(c):
+    """Infinity and every integral point with y = 0 or y^2 dividing the
+    discriminant (m*n*(m-n))^2: a superset of the torsion subgroup by
+    Lutz-Nagell.  x divides y^2 because the cubic has no constant term."""
+    pts = set(c.two_torsion())
+    for y in _divisors(abs(c.m * c.n * (c.m - c.n))):
+        for d in _divisors(y * y):
+            for x in (d, -d):
+                if c.rhs(x) == y * y:
+                    pts.update((CurvePoint.affine(x, y), CurvePoint.affine(x, -y)))
+    return pts
+
+
+def _order(c, p):
+    acc, k = p, 1
+    while not acc.is_infinity:
+        acc, k = c.add(acc, p), k + 1
+    return k
+
+
+class TestTorsionAgainstLoop:
+    """is_torsion (Lutz-Nagell early exit) against the plain 12-step loop."""
+
+    @pytest.mark.parametrize(
+        "m, n, orders",
+        [
+            # Z/2 x Z/8, with (-216, 1080) of order 8
+            (81, 256, {1: 1, 2: 3, 4: 4, 8: 8}),
+            # Z/2 x Z/6
+            (-32, -27, {1: 1, 2: 3, 3: 2, 6: 6}),
+            # Z/2 x Z/4
+            (-49, -48, {1: 1, 2: 3, 4: 4}),
+            # Z/2 x Z/2
+            (23, -69, {1: 1, 2: 3}),
+        ],
+    )
+    def test_full_torsion_subgroup(self, m, n, orders):
+        c = ConcordantCurve(m, n)
+        candidates = _lutz_nagell_candidates(c)
+        torsion = {p for p in candidates if oracle_is_torsion(c, p)}
+        assert Counter(_order(c, p) for p in torsion) == orders
+        for p in candidates:
+            assert c.is_torsion(p) == oracle_is_torsion(c, p)
+
+    @pytest.mark.parametrize(
+        "m, n, base, oracle_up_to",
+        # the loop runs to 12*p: from 6*POINT_142 that is 72*POINT_142, with
+        # 245 000-bit denominators and about 18 s per multiple, so the
+        # oracle stops at 3*POINT_142 (61 000 bits)
+        [(23, -69, CurvePoint.affine(75, 210), 6), (142, -426, POINT_142, 3)],
+    )
+    def test_small_multiples_plus_two_torsion(self, m, n, base, oracle_up_to):
+        c = ConcordantCurve(m, n)
+        for k in range(1, 7):
+            kp = c.multiply(k, base)
+            for t in c.two_torsion():
+                p = c.add(kp, t)
+                assert not c.is_torsion(p)
+                if k <= oracle_up_to:
+                    assert not oracle_is_torsion(c, p)
+
+    def test_random_points(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.integers(0, 2**32), st.integers(0, 3))
+        def check(seed, i):
+            c, p = _random_curve_point(random.Random(seed))
+            p = c.add(p, c.two_torsion()[i])
+            assert c.is_torsion(p) == oracle_is_torsion(c, p)
+
+        check()
 
 
 def _random_curve_point(rng):
