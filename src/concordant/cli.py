@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import gc
 import json
 import sys
 import time
@@ -175,7 +176,15 @@ def _job_map(workers: int):
     if workers <= 1:
         yield map
         return
-    with Pool(workers) as pool:
+    # forked workers share this process's objects; frozen, those stay out of
+    # the workers' garbage collections, which would otherwise walk every one
+    # and copy the pages they sit on
+    gc.freeze()
+    try:
+        pool = Pool(workers)
+    finally:
+        gc.unfreeze()
+    with pool:
         yield pool.imap
 
 

@@ -121,22 +121,38 @@ def torsion_columns(table) -> list[tuple[int, int, int]]:
 
 
 def torsion_equivalence_classes(
-    triplets: list[DescentTriplet], table
+    triplets: list[DescentTriplet], table, generators: list[int]
 ) -> list[list[DescentTriplet]]:
     """Partition into orbits under componentwise multiplication by the table
-    columns; classes and members are ordered deterministically."""
-    columns = torsion_columns(table)
-    seen: set[DescentTriplet] = set()
-    classes = []
+    columns; classes and members are ordered deterministically.  Every value
+    must be a signed product of `generators`: the orbits are taken on the
+    exponent vectors of the three classes packed into one int, where
+    multiplying by a column is one XOR."""
+    squares = SquareClasses(generators)
+    width = len(generators)
+    mask = (1 << width) - 1
+
+    def packed(a, b, c):
+        return squares.vector(a) | squares.vector(b) << width | squares.vector(c) << 2 * width
+
+    def unpacked(v):
+        return (squares.value(v >> shift & mask) for shift in (0, width, 2 * width))
+
+    columns = [packed(*col) for col in torsion_columns(table)]
+    by_vector: dict[int, DescentTriplet] = {}
     for t in sorted(triplets, key=DescentTriplet.sort_key):
-        if t in seen:
+        by_vector.setdefault(packed(t.a, t.b, t.c), t)
+    seen: set[int] = set()
+    out = []
+    for v in by_vector:
+        if v in seen:
             continue
-        orbit = {t}
-        for col in columns:
-            orbit.add(t.act(col))
+        orbit = {v, v ^ columns[0], v ^ columns[1], v ^ columns[2]}
         seen |= orbit
-        classes.append(sorted(orbit, key=DescentTriplet.sort_key))
-    return classes
+        # an image outside `triplets` is built, as multiplying would build it
+        members = [by_vector.get(w) or DescentTriplet(*unpacked(w)) for w in orbit]
+        out.append(sorted(members, key=DescentTriplet.sort_key))
+    return out
 
 
 def class_representative(cls: list[DescentTriplet]) -> DescentTriplet:
@@ -193,41 +209,21 @@ def build_homogeneous_space(t: DescentTriplet, m: int, n: int) -> HomogeneousSpa
     return HomogeneousSpace(t, m, n, e_a, e_b, e_c, e_d)
 
 
-class SolvabilityTable:
-    """Legendre criterion for the four quadrics of y^2 = x(x + m)(x + n) over
-    the square classes generated by a fixed prime set.
+class SquareClasses:
+    """Square classes generated by -1 and a fixed prime set.  A class is an
+    F2 exponent vector stored as an int: one bit for -1 and one per
+    generator, in `generators` order, so a product of classes is XOR."""
 
-    A square class is an F2 exponent vector stored as an int: one bit for -1
-    and one per generator, in `generators` order.  Every quadric coefficient
-    is a signed product of generators, so reduction and the criterion act on
-    exponent parities alone, against a table of Legendre symbols between the
-    generators built once (Serre, A Course in Arithmetic, ch. III-IV)."""
-
-    def __init__(self, generators: list[int], m: int, n: int):
-        if m == 0 or n == 0 or m == n:
-            raise DegenerateForm("m, n and m - n must be nonzero")
+    def __init__(self, generators: list[int]):
         self.generators = generators
         self._neg = 1 << generators.index(-1)
         self._primes = [(1 << i, g) for i, g in enumerate(generators) if g > 1]
-        self._odd = 0
-        # bit of the odd prime p -> mask of the generators g != p with (g/p) = -1
-        self._nonresidues: dict[int, int] = {}
-        for bit, p in self._primes:
-            if p == 2:
-                continue
-            self._odd |= bit
-            self._nonresidues[bit] = sum(
-                1 << i
-                for i, g in enumerate(generators)
-                if g != p and pow(g % p, (p - 1) // 2, p) == p - 1
-            )
-        # memos: value -> vector, and reduced vector -> value for the evidence
+        # memos: value -> vector and vector -> value
         self._vectors: dict[int, int] = {}
         self._values: dict[int, int] = {}
-        self._m, self._n, self._d = self._vector(m), self._vector(n), self._vector(m - n)
 
-    def _vector(self, value: int) -> int:
-        # exponent parities of a nonzero value whose primes are generators
+    def vector(self, value: int) -> int:
+        """Exponent parities of a nonzero value whose primes are generators."""
         vec = self._vectors.get(value)
         if vec is not None:
             return vec
@@ -242,7 +238,8 @@ class SolvabilityTable:
         self._vectors[value] = vec
         return vec
 
-    def _value(self, vec: int) -> int:
+    def value(self, vec: int) -> int:
+        """The squarefree representative of a vector."""
         value = self._values.get(vec)
         if value is None:
             value = -1 if vec & self._neg else 1
@@ -251,6 +248,34 @@ class SolvabilityTable:
                     value *= p
             self._values[vec] = value
         return value
+
+
+class SolvabilityTable(SquareClasses):
+    """Legendre criterion for the four quadrics of y^2 = x(x + m)(x + n) over
+    the square classes generated by a fixed prime set.
+
+    Every quadric coefficient is a signed product of generators, so
+    reduction and the criterion act on exponent parities alone, against a
+    table of Legendre symbols between the generators built once (Serre, A
+    Course in Arithmetic, ch. III-IV)."""
+
+    def __init__(self, generators: list[int], m: int, n: int):
+        if m == 0 or n == 0 or m == n:
+            raise DegenerateForm("m, n and m - n must be nonzero")
+        super().__init__(generators)
+        self._odd = 0
+        # bit of the odd prime p -> mask of the generators g != p with (g/p) = -1
+        self._nonresidues: dict[int, int] = {}
+        for bit, p in self._primes:
+            if p == 2:
+                continue
+            self._odd |= bit
+            self._nonresidues[bit] = sum(
+                1 << i
+                for i, g in enumerate(generators)
+                if g != p and pow(g % p, (p - 1) // 2, p) == p - 1
+            )
+        self._m, self._n, self._d = self.vector(m), self.vector(n), self.vector(m - n)
 
     def _passes(self, x: int, y: int, z: int) -> bool:
         # x, y, z are reduced: prime bits pairwise disjoint, x positive
@@ -270,7 +295,7 @@ class SolvabilityTable:
 
     def verdict(self, t: DescentTriplet) -> tuple[bool, str]:
         """(verdict, evidence) for one triplet, as in `triplet_solvable`."""
-        va, vb, vc = self._vector(t.a), self._vector(t.b), self._vector(t.c)
+        va, vb, vc = self.vector(t.a), self.vector(t.b), self.vector(t.c)
         vm, vn, vd, neg = self._m, self._n, self._d, self._neg
         # build_homogeneous_space's coefficients, in HomogeneousSpace.quadrics order
         quadrics = (
@@ -294,7 +319,7 @@ class SolvabilityTable:
                 (z ^ x) & (z ^ y) & prime_bits | z & neg,
             )
             if not self._passes(x, y, z):
-                reduced = (self._value(x), self._value(y), self._value(z))
+                reduced = (self.value(x), self.value(y), self.value(z))
                 return False, f"{name} reduces to {reduced}: criterion fails"
         return True, "all four quadrics pass the criterion"
 
@@ -346,7 +371,7 @@ def classify(p: int, q: int, k: int) -> Classification:
     solvability = SolvabilityTable(generators, m, n)
     unit = DescentTriplet(1, 1, 1)
     classes = []
-    for members in torsion_equivalence_classes(triplets, table):
+    for members in torsion_equivalence_classes(triplets, table, generators):
         verdicts = [(t, *solvability.verdict(t)) for t in members]
         classes.append(
             {

@@ -263,6 +263,35 @@ def factorize(n: int, budget: int = 1_000_000) -> Factorization:
     return Factorization(sign, tuple(sorted(counts.items())))
 
 
+def sqrt_mod(a: int, p: int) -> int:
+    """The root r <= p/2 of r^2 = a (mod p) for a prime p, by Tonelli-Shanks.
+    Raises InvalidArgument when a is not a square modulo p."""
+    a %= p
+    if p == 2 or a == 0:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise InvalidArgument(f"{a} is not a square modulo {p}")
+    # p - 1 = q * 2^s with q odd; z is any non-residue
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # least i with t^(2^i) = 1; then i < s
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return min(r, p - r)
+
+
 def squarefree_part(n: int) -> tuple[int, int]:
     """Split n != 0 as s * r^2 with s squarefree and sign(s) = sign(n)."""
     if n == 0:

@@ -25,6 +25,7 @@ from .integers import (
     factorize,
     is_perfect_square,
     primitive_normalize,
+    sqrt_mod,
     squarefree_part,
     vector_content,
 )
@@ -127,33 +128,33 @@ def reduce_to_legendre(form: TernaryForm) -> LegendreForm:
     return LegendreForm(a, b, c, tuple(scales))
 
 
-def _is_residue(a: int, m: int) -> bool:
-    # is a a square modulo the squarefree modulus m?
-    m = abs(m)
-    if m <= 2:
-        return True
-    for p, _ in factorize(m).factors:
-        if p == 2:
+def _local_squares(form: LegendreForm) -> Optional[list[tuple[int, int, int]]]:
+    """The local conditions of the criterion below, or None when one fails.
+    For each odd prime p of a coefficient a_k, taken for k = 2, 1, 0 with
+    i < j the other two indices, -a_i*a_j must be a square modulo p; every
+    nonzero such residue is listed as (k, p, -a_i*a_j mod p)."""
+    coeffs = form.coefficients
+    if all(v > 0 for v in coeffs) or all(v < 0 for v in coeffs):
+        return None
+    out = []
+    for k, i, j in ((2, 0, 1), (1, 0, 2), (0, 1, 2)):
+        if abs(coeffs[k]) <= 2:
             continue
-        r = a % p
-        if r != 0 and pow(r, (p - 1) // 2, p) != 1:
-            return False
-    return True
+        for p in factorize(coeffs[k]).primes():
+            if p == 2:
+                continue
+            x = -coeffs[i] * coeffs[j] % p
+            if x:
+                if pow(x, (p - 1) // 2, p) != 1:
+                    return None
+                out.append((k, p, x))
+    return out
 
 
 def legendre_solvable(form: LegendreForm) -> bool:
     """Classical criterion: mixed signs, and -a_i*a_j a residue mod |a_k|
     for every permutation (i, j, k)."""
-    a, b, c = form.coefficients
-    if a > 0 and b > 0 and c > 0:
-        return False
-    if a < 0 and b < 0 and c < 0:
-        return False
-    return (
-        _is_residue(-a * b, c)
-        and _is_residue(-a * c, b)
-        and _is_residue(-b * c, a)
-    )
+    return _local_squares(form) is not None
 
 
 def diagonal_model(form: TernaryForm) -> TernaryForm:
@@ -168,81 +169,214 @@ def diagonal_model(form: TernaryForm) -> TernaryForm:
 
 def find_conic_point(form: TernaryForm, max_evaluations: int = 20_000_000) -> Triple:
     """Smallest point on form = 0 under (max-norm, lexicographic) order of the
-    reduced diagonal model, searched exhaustively inside the Holzer box and
-    mapped back to the original coordinates.
+    reduced diagonal model a*X0^2 + b*X1^2 + c*X2^2, taken over the Holzer
+    box |Xi| <= isqrt(|bc|), isqrt(|ac|), isqrt(|ab|) and mapped back to the
+    original coordinates.
 
-    Each max-norm shell m is scanned in O(m) steps by solving for one
-    coordinate with isqrt, so a box of side B costs O(B^2) plain-integer
-    steps.  The map back uses the integer divisors of reduce_to_legendre and,
-    for a cross term, undoes U = 2*a00*X0 + a01*X1.
+    The search is the lattice form of Legendre's theorem (Cremona & Rusin,
+    Math. Comp. 72, 2003).  a, b and c are squarefree and pairwise coprime,
+    so at each odd prime p of a primitive root X1 = r*X2 (mod p) with
+    r^2 = -c/b when p | a, and cyclically for b and c; modulo 2 the two
+    coordinates beside an even coefficient agree, or X0 + X1 + X2 is even
+    when abc is odd.  One choice of roots r per prime gives a lattice of
+    index 2*|abc| / gcd(2, abc); every primitive root lies in one of them.
+    The box holds about four points of each lattice; a basis LLL-reduced
+    in the box's own norm keeps the enumeration, between exact adjugate
+    bounds, within a constant factor of that however large the box.  Sign
+    changes of X1 and X2 permute the lattices, and the (max-norm,
+    lexicographic) smallest root is (-|X0|, -|X1|, -|X2|) of the largest
+    absolute pattern at the least max-norm, so one lattice of each sign
+    orbit is searched, in a box cut down to the best max-norm so far.  All
+    arithmetic is in integers, the basis reduction included, and the result
+    is checked on the form, for primitivity and against the box.
+
+    The map back uses the integer divisors of reduce_to_legendre and, for a
+    cross term, undoes U = 2*a00*X0 + a01*X1.
 
     Raises NoSolution when the criterion rules the form out, EffortExhausted
     when the Holzer box holds more than max_evaluations points.  The policy
-    counts every point of the box, not the steps the scan takes.
+    counts every point of the box, not the lattice points searched.
     """
     if form.a00 == 0:
         return (1, 0, 0)
     red = reduce_to_legendre(diagonal_model(form))
-    if not legendre_solvable(red):
+    conditions = _local_squares(red)
+    if conditions is None:
         raise NoSolution(f"{form.coefficients} has no rational points")
-    a, b, c = red.coefficients
+    a, b, c = coeffs = red.coefficients
     bounds = (math.isqrt(abs(b * c)), math.isqrt(abs(a * c)), math.isqrt(abs(a * b)))
     volume = math.prod(2 * bound + 1 for bound in bounds)
     if volume > max_evaluations:
         raise EffortExhausted(f"Holzer box of {volume} points exceeds the policy")
-    for m in range(1, max(bounds) + 1):
-        hit = _scan_shell(red.coefficients, bounds, m)
-        if hit is not None:
-            u, x1, x2 = red.map_back(hit)
-            if form.is_diagonal:
-                return (u, x1, x2)
-            a00, a01 = form.a00, form.a01
-            return primitive_normalize((u - a01 * x1, 2 * a00 * x1, 2 * a00 * x2))
-    raise NoSolution(f"exhausted Holzer box of {form.coefficients}")
+    hit = _smallest_root(coeffs, bounds, conditions)
+    if hit is None:
+        raise NoSolution(f"exhausted Holzer box of {form.coefficients}")
+    if (
+        a * hit[0] ** 2 + b * hit[1] ** 2 + c * hit[2] ** 2 != 0
+        or vector_content(hit) != 1
+        or any(abs(x) > bound for x, bound in zip(hit, bounds))
+    ):
+        raise VerificationFailure(f"{hit} is no primitive root of {coeffs} in the Holzer box")
+    u, x1, x2 = red.map_back(hit)
+    if form.is_diagonal:
+        return (u, x1, x2)
+    a00, a01 = form.a00, form.a01
+    return primitive_normalize((u - a01 * x1, 2 * a00 * x1, 2 * a00 * x2))
 
 
-def _roots(t: int, coef: int, limit: int) -> tuple[int, ...]:
-    # every x with t + coef*x^2 == 0 and |x| <= limit, ascending
-    if t % coef:
-        return ()
-    v = -t // coef
-    if v < 0:
-        return ()
-    r = math.isqrt(v)
-    if r * r != v or r > limit:
-        return ()
-    return (-r, r) if r else (0,)
-
-
-def _scan_shell(coeffs: Triple, bounds: Triple, m: int) -> Optional[Triple]:
-    # lexicographically first primitive root on the max-norm-m shell of the
-    # Holzer box; one coordinate is solved for, never looped over
+def _smallest_root(
+    coeffs: Triple, bounds: Triple, conditions: list[tuple[int, int, int]]
+) -> Optional[Triple]:
+    # (max-norm, lexicographic) first primitive root in the box, over one
+    # congruence lattice per sign orbit of the root choices
     a, b, c = coeffs
-    b0, b1, b2 = bounds
-    lim1, lim2 = min(b1, m), min(b2, m)
-    bm, cm = b * m * m, c * m * m
-    for x0 in range(max(-b0, -m), min(b0, m) + 1):
-        t0 = a * x0 * x0
-        if abs(x0) == m:
-            # a face: every (x1, x2) of the box with max-norm <= m
-            roots = [
-                (x1, x2)
-                for x1 in range(-lim1, lim1 + 1)
-                for x2 in _roots(t0 + b * x1 * x1, c, lim2)
-            ]
+    modulus = 2 * math.prod(p for _, p, _ in conditions)
+    # modulo 2: X_i = X_j beside an even coefficient, else X0 + X1 + X2 even;
+    # modulus // 2 is odd, so it is the CRT idempotent of 2
+    base = [v % 2 * (modulus // 2) for v in coeffs]
+    # per odd prime p, X_i = r*X_j (mod p) as the form (X_i - r*X_j) times
+    # the CRT idempotent of p, for r and for -r
+    lifted, flips = [], [0, 0, 0]
+    for t, (k, p, x) in enumerate(conditions):
+        i, j = (v for v in range(3) if v != k)
+        r = sqrt_mod(x, p) * pow(coeffs[i], -1, p) % p
+        idem = modulus // p * pow(modulus // p, -1, p)
+        pair = []
+        for root in (r, p - r):
+            form = [0, 0, 0]
+            form[i], form[j] = idem, -root * idem
+            pair.append(form)
+        lifted.append(pair)
+        # the sign change of X_m negates r exactly where m is i or j
+        flips[i] |= 1 << t
+        flips[j] |= 1 << t
+    best_key, best = None, None
+    for choice in range(1 << len(conditions)):
+        if choice != min(choice, choice ^ flips[0], choice ^ flips[1], choice ^ flips[2]):
+            continue
+        u = base
+        for t, pair in enumerate(lifted):
+            u = [ui + fi for ui, fi in zip(u, pair[choice >> t & 1])]
+        limit = best_key[0] if best_key else max(bounds)
+        sides = tuple(min(bound, limit) for bound in bounds)
+        for x in _lattice_points([v % modulus for v in u], modulus, sides):
+            key = (max(map(abs, x)), -abs(x[0]), -abs(x[1]), -abs(x[2]))
+            if best_key is not None and key >= best_key:
+                continue
+            if a * x[0] * x[0] + b * x[1] * x[1] + c * x[2] * x[2]:
+                continue
+            if math.gcd(math.gcd(x[0], x[1]), x[2]) != 1:
+                continue
+            best_key, best = key, x
+    if best is None:
+        return None
+    return (-abs(best[0]), -abs(best[1]), -abs(best[2]))
+
+
+def _lattice_points(form: list[int], modulus: int, sides: Triple):
+    """Every nonzero x with form . x = 0 (mod modulus) and |x_i| <= sides[i],
+    one of each pair +-x."""
+    basis = _reduce_basis(_kernel_basis(form, modulus), sides)
+    v0, v1, v2 = basis
+    # x = c0*v0 + c1*v1 + c2*v2 has c_j = x . w_j / det, which bounds c_j
+    # on the box through the cofactor rows w_j
+    cofactors = (_cross(v1, v2), _cross(v2, v0), _cross(v0, v1))
+    det = abs(_dot(v0, cofactors[0]))
+    caps = [sum(side * abs(wi) for side, wi in zip(sides, w)) // det for w in cofactors]
+    for c2 in range(0, caps[2] + 1):
+        for c1 in range(0 if c2 == 0 else -caps[1], caps[1] + 1):
+            y = [c2 * e2 + c1 * e1 for e2, e1 in zip(v2, v1)]
+            # c0 so that every |y_i + c0*v0_i| <= sides[i]
+            lo, hi = -caps[0], caps[0]
+            for yi, vi, side in zip(y, v0, sides):
+                if vi > 0:
+                    lo, hi = max(lo, -((side + yi) // vi)), min(hi, (side - yi) // vi)
+                elif vi < 0:
+                    lo, hi = max(lo, -((side - yi) // -vi)), min(hi, (side + yi) // -vi)
+                elif abs(yi) > side:
+                    hi = lo - 1
+            if c1 == c2 == 0:
+                lo = max(lo, 1)
+            for c0 in range(lo, hi + 1):
+                yield tuple(yi + c0 * vi for yi, vi in zip(y, v0))
+
+
+def _kernel_basis(form: list[int], modulus: int) -> list[list[int]]:
+    # column Euclid: unimodular column steps leave one nonzero entry g of
+    # form, so the lattice is spanned by the other two columns and
+    # modulus/gcd(g, modulus) times the pivot column
+    cols = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    w = list(form)
+    while True:
+        live = [i for i in range(3) if w[i]]
+        pivot = min(live, key=lambda i: abs(w[i]))
+        if len(live) == 1:
+            break
+        for i in live:
+            if i != pivot:
+                q = w[i] // w[pivot]
+                w[i] -= q * w[pivot]
+                cols[i] = [x - q * y for x, y in zip(cols[i], cols[pivot])]
+    scale = modulus // math.gcd(w[pivot], modulus)
+    return [[scale * x for x in cols[i]] if i == pivot else cols[i] for i in range(3)]
+
+
+def _reduce_basis(basis: list[list[int]], sides: Triple) -> list[list[int]]:
+    """LLL (delta 3/4) of three integer rows in the norm sum((x_i/side_i)^2),
+    in integers throughout (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7): the norm is scaled by (side_0*side_1*side_2)^2, and
+    d[k + 1] and lam[k][j] are the integral Gram-Schmidt data of row k."""
+    scale = math.prod(sides)
+    w0, w1, w2 = ((scale // side) ** 2 for side in sides)
+    b = [list(v) for v in basis]
+    d = [1, 0, 0, 0]
+    lam = [[0, 0, 0] for _ in range(3)]
+    for k in range(3):
+        for j in range(k + 1):
+            u = b[k][0] * b[j][0] * w0 + b[k][1] * b[j][1] * w1 + b[k][2] * b[j][2] * w2
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+
+    def size_reduce(k, j):
+        if 2 * abs(lam[k][j]) > d[j + 1]:
+            q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            lam[k][j] -= q * d[j + 1]
+            for i in range(j):
+                lam[k][i] -= q * lam[j][i]
+
+    k = 1
+    while k < 3:
+        size_reduce(k, k - 1)
+        m = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * m * m:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            swapped = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            for i in range(k + 1, 3):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (swapped * t + m * lam[i][k]) // d[k + 1]
+            d[k] = swapped
+            k = max(k - 1, 1)
         else:
-            # max(|x1|, |x2|) == m: the x1 = +-m edges, then x2 = +-m, |x1| < m
-            roots = []
-            if m <= b1:
-                x2s = _roots(t0 + bm, c, lim2)
-                roots += [(x1, x2) for x1 in (-m, m) for x2 in x2s]
-            if m <= b2:
-                x1s = _roots(t0 + cm, b, min(b1, m - 1))
-                roots += [(x1, x2) for x2 in (-m, m) for x1 in x1s]
-        for x1, x2 in sorted(roots):
-            if math.gcd(math.gcd(x0, x1), x2) == 1:
-                return (x0, x1, x2)
-    return None
+            for j in range(k - 2, -1, -1):
+                size_reduce(k, j)
+            k += 1
+    return b
+
+
+def _cross(u, v) -> list[int]:
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def _dot(u, v) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def zero_coordinate_point(form: TernaryForm, index: int) -> Optional[Triple]:

@@ -227,7 +227,9 @@ def scan_shell(sieve: QuarticSieve, r: int) -> Optional[tuple[int, int, int, int
     return None
 
 
-@functools.lru_cache(maxsize=4)
+# every class search rescans from radius 1, so the cache holds every radius
+# up to the series cap (300) and beyond: about 0.45 MB when all 512 are held
+@functools.lru_cache(maxsize=512)
 def _repunits(r: int) -> tuple[int, ...]:
     # per sieve prime p, bits 0, p, 2p, ... over at least 2r - 1 + p bits:
     # a p-bit mask times this tiles it along a run of shell r

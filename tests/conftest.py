@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from concordant.descent import build_homogeneous_space
+from concordant.descent import DescentTriplet, build_homogeneous_space, torsion_columns
 from concordant.errors import EffortExhausted, NoSolution
 from concordant.integers import (
     factorize,
@@ -163,6 +163,76 @@ def oracle_find_conic_point(form: TernaryForm, max_evaluations: int = 20_000_000
     raise NoSolution(f"exhausted Holzer box of {form.coefficients}")
 
 
+def _oracle_roots(t, coef, limit):
+    # every x with t + coef*x^2 == 0 and |x| <= limit, ascending
+    if t % coef:
+        return ()
+    v = -t // coef
+    if v < 0:
+        return ()
+    r = math.isqrt(v)
+    if r * r != v or r > limit:
+        return ()
+    return (-r, r) if r else (0,)
+
+
+def _oracle_solved_shell(coeffs, bounds, m):
+    # lexicographically first primitive root on the max-norm-m shell of the
+    # Holzer box; one coordinate is solved for, so O(m) steps per shell
+    a, b, c = coeffs
+    b0, b1, b2 = bounds
+    lim1, lim2 = min(b1, m), min(b2, m)
+    bm, cm = b * m * m, c * m * m
+    for x0 in range(max(-b0, -m), min(b0, m) + 1):
+        t0 = a * x0 * x0
+        if abs(x0) == m:
+            # a face: every (x1, x2) of the box with max-norm <= m
+            roots = [
+                (x1, x2)
+                for x1 in range(-lim1, lim1 + 1)
+                for x2 in _oracle_roots(t0 + b * x1 * x1, c, lim2)
+            ]
+        else:
+            # max(|x1|, |x2|) == m: the x1 = +-m edges, then x2 = +-m, |x1| < m
+            roots = []
+            if m <= b1:
+                x2s = _oracle_roots(t0 + bm, c, lim2)
+                roots += [(x1, x2) for x1 in (-m, m) for x2 in x2s]
+            if m <= b2:
+                x1s = _oracle_roots(t0 + cm, b, min(b1, m - 1))
+                roots += [(x1, x2) for x2 in (-m, m) for x1 in x1s]
+        for x1, x2 in sorted(roots):
+            if math.gcd(math.gcd(x0, x1), x2) == 1:
+                return (x0, x1, x2)
+    return None
+
+
+def oracle_shell_find_conic_point(form: TernaryForm, max_evaluations: int = 20_000_000):
+    """The shell-by-shell search the lattice search replaced: each max-norm
+    shell of the Holzer box in O(m) integer steps, O(B^2) for a box of side
+    B, with the integer back maps.  Quick enough for the conics the solver
+    meets on the large-k pool, where the cubic oracle is not."""
+    if form.a00 == 0:
+        return (1, 0, 0)
+    red = reduce_to_legendre(diagonal_model(form))
+    if not legendre_solvable(red):
+        raise NoSolution(f"{form.coefficients} has no rational points")
+    a, b, c = red.coefficients
+    bounds = (math.isqrt(abs(b * c)), math.isqrt(abs(a * c)), math.isqrt(abs(a * b)))
+    volume = math.prod(2 * bound + 1 for bound in bounds)
+    if volume > max_evaluations:
+        raise EffortExhausted(f"Holzer box of {volume} points exceeds the policy")
+    for m in range(1, max(bounds) + 1):
+        hit = _oracle_solved_shell(red.coefficients, bounds, m)
+        if hit is not None:
+            u, x1, x2 = red.map_back(hit)
+            if form.is_diagonal:
+                return (u, x1, x2)
+            a00, a01 = form.a00, form.a01
+            return primitive_normalize((u - a01 * x1, 2 * a00 * x1, 2 * a00 * x2))
+    raise NoSolution(f"exhausted Holzer box of {form.coefficients}")
+
+
 def oracle_parameter_shrink(rows, sq_col):
     """The trial-division loop _parameter_shrink replaced; it runs k up to
     the cross content, so keep that content small."""
@@ -235,6 +305,23 @@ def oracle_triplet_solvable(t, m: int, n: int) -> tuple[bool, str]:
         if not legendre_solvable(reduced):
             return False, f"{name} reduces to {reduced.coefficients}: criterion fails"
     return True, "all four quadrics pass the criterion"
+
+
+def oracle_torsion_equivalence_classes(triplets, table):
+    """The orbit loop the exponent-vector orbits replaced: each image built
+    through DescentTriplet.act, which checks its square product."""
+    columns = torsion_columns(table)
+    seen = set()
+    classes = []
+    for t in sorted(triplets, key=DescentTriplet.sort_key):
+        if t in seen:
+            continue
+        orbit = {t}
+        for col in columns:
+            orbit.add(t.act(col))
+        seen |= orbit
+        classes.append(sorted(orbit, key=DescentTriplet.sort_key))
+    return classes
 
 
 def oracle_is_torsion(curve, p, max_order: int = 12) -> bool:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import multiprocessing
@@ -228,6 +229,26 @@ class TestOptimizedInterpreter:
         proc = self._run_optimized("-c", script)
         assert proc.returncode == 0, proc.stderr.decode()
 
+    def test_conic_point_check_still_raises(self):
+        # X0^2 - X1^2 + 5*X2^2 has the Holzer box (2, 2, 1); a lattice search
+        # that returned a point off the form, an imprimitive root or a root
+        # outside the box is caught
+        script = (
+            "from concordant import quadforms\n"
+            "from concordant.errors import VerificationFailure\n"
+            "form = quadforms.TernaryForm(1, 0, -1, 5)\n"
+            "quadforms.find_conic_point(form)\n"
+            "for bad in ((1, 1, 1), (2, 2, 0), (2, 3, 1)):\n"
+            "    quadforms._smallest_root = lambda *args, bad=bad: bad\n"
+            "    try:\n"
+            "        quadforms.find_conic_point(form)\n"
+            "    except VerificationFailure:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n"
+        )
+        proc = self._run_optimized("-c", script)
+        assert proc.returncode == 0, proc.stderr.decode()
+
 
 class TestVerifyCommand:
     def test_zagier_point(self, capsys):
@@ -349,6 +370,13 @@ class TestSeriesCommand:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[0].count("\n") > 3
+
+    def test_pool_leaves_the_collector_unfrozen(self):
+        # the pool is forked with this process's objects frozen, and they
+        # are handed back to the collector once the workers exist
+        rows = run_series("cong5", 13, radius_cap=100, workers=2)
+        assert [r["k"] for r in rows] == ["5", "13"]
+        assert gc.get_freeze_count() == 0
 
     def test_one_process_pool_per_run(self, monkeypatch):
         built = []

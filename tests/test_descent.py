@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from conftest import oracle_triplet_solvable
+from conftest import oracle_torsion_equivalence_classes, oracle_triplet_solvable
 
 from concordant.curves import ConcordantCurve, CurvePoint
 from concordant.descent import (
@@ -100,9 +100,9 @@ class TestTorsionTable:
 class TestEquivalenceClasses:
     def test_twice_prime_class_of_minus_one(self):
         l = 3
-        trips = enumerate_triplets(descent_generators(1, 1, 2 * l))
+        gens = descent_generators(1, 1, 2 * l)
         table = torsion_value_table(1, 1, 2 * l)
-        classes = torsion_equivalence_classes(trips, table)
+        classes = torsion_equivalence_classes(enumerate_triplets(gens), table, gens)
         target = next(c for c in classes if DescentTriplet(1, -1, -1) in c)
         assert {t.as_tuple() for t in target} == {
             (1, -1, -1),
@@ -113,9 +113,9 @@ class TestEquivalenceClasses:
 
     def test_theta_class_of_122(self):
         l = 7
-        trips = enumerate_triplets(descent_generators(1, 3, 2 * l))
+        gens = descent_generators(1, 3, 2 * l)
         table = torsion_value_table(1, 3, 2 * l)
-        classes = torsion_equivalence_classes(trips, table)
+        classes = torsion_equivalence_classes(enumerate_triplets(gens), table, gens)
         target = next(c for c in classes if DescentTriplet(1, 2, 2) in c)
         assert {t.as_tuple() for t in target} == {
             (1, 2, 2),
@@ -125,9 +125,10 @@ class TestEquivalenceClasses:
         }
 
     def test_partition_properties(self):
-        trips = enumerate_triplets(descent_generators(1, 1, 10))
+        gens = descent_generators(1, 1, 10)
+        trips = enumerate_triplets(gens)
         table = torsion_value_table(1, 1, 10)
-        classes = torsion_equivalence_classes(trips, table)
+        classes = torsion_equivalence_classes(trips, table, gens)
         seen = [t for cls in classes for t in cls]
         assert len(seen) == len(trips)
         assert set(seen) == set(trips)
@@ -138,6 +139,31 @@ class TestEquivalenceClasses:
             for t in cls:
                 for col in cols:
                     assert t.act(col) in members
+
+
+    def test_matches_act_oracle(self):
+        # the classified families at max_k 200 and k with three and four
+        # odd primes: same classes, same members, in the same order
+        primes = _primes_upto(200)
+        curves = [(1, 1, v) for v in primes if v % 8 in (5, 7)]
+        curves += [(1, 1, 2 * v) for v in primes if v <= 100 and v % 8 == 7]
+        curves += [(1, 3, v) for v in primes if v % 24 == 5]
+        curves += [(1, 1, 17 * 19 * 23), (1, 3, 5 * 7 * 11), (2, 5, 3 * 13 * 29)]
+        curves += [(1, 1, 29 * 31 * 37 * 41), (1, 3, 11 * 13 * 17 * 19), (1, 1, 2 * 3 * 5 * 7)]
+        for p, q, k in curves:
+            gens = descent_generators(p, q, k)
+            trips = enumerate_triplets(gens)
+            table = torsion_value_table(p, q, k)
+            expected = oracle_torsion_equivalence_classes(trips, table)
+            assert torsion_equivalence_classes(trips, table, gens) == expected, (p, q, k)
+
+    def test_image_outside_the_list_is_built(self):
+        # orbits of a sublist still hold every image, as act would build it
+        gens = descent_generators(1, 1, 10)
+        trips = enumerate_triplets(gens)[::7]
+        table = torsion_value_table(1, 1, 10)
+        expected = oracle_torsion_equivalence_classes(trips, table)
+        assert torsion_equivalence_classes(trips, table, gens) == expected
 
 
 class TestSolvabilityFilter:

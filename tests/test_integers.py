@@ -11,6 +11,7 @@ from concordant.integers import (
     is_probable_prime,
     primitive_normalize,
     shell_pairs,
+    sqrt_mod,
     squarefree_part,
 )
 
@@ -161,6 +162,39 @@ class TestPrimality:
             cases += [p, p * q, p * (2 * p - 1)]
         for n in cases:
             assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+class TestSqrtMod:
+    def test_every_residue_below_2000_against_brute_force(self):
+        # every residue class modulo every odd prime below 2000; the primes
+        # = 1 (mod 8) take the Tonelli-Shanks loop more than once
+        odd_primes = [p for p in range(3, 2000) if _trial_division_prime(p)]
+        assert sum(p % 8 == 1 for p in odd_primes) > 50
+        for p in odd_primes:
+            least_root = {}
+            for x in range(p - 1, -1, -1):
+                least_root[x * x % p] = x
+            for a in range(p):
+                if a in least_root:
+                    assert sqrt_mod(a, p) == min(least_root[a], (p - least_root[a]) % p), (a, p)
+                else:
+                    with pytest.raises(InvalidArgument):
+                        sqrt_mod(a, p)
+
+    def test_two_zero_and_reduction(self):
+        assert sqrt_mod(0, 2) == 0
+        assert sqrt_mod(1, 2) == 1
+        assert sqrt_mod(5, 2) == 1
+        assert sqrt_mod(0, 1009) == 0
+        assert sqrt_mod(2 * 1009, 1009) == 0
+        assert sqrt_mod(-1, 13) == 5
+        assert sqrt_mod(4 + 10**6 * 17, 17) == 2
+
+    def test_non_residue_raises(self):
+        with pytest.raises(InvalidArgument):
+            sqrt_mod(3, 7)
+        with pytest.raises(InvalidArgument):
+            sqrt_mod(-1, 10**9 + 7)
 
 
 class TestPrimitiveNormalize:

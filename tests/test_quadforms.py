@@ -1,11 +1,14 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import (
     brute_legendre_solvable,
     oracle_find_conic_point,
+    oracle_shell_find_conic_point,
     oracle_map_back,
     oracle_parameter_shrink,
     oracle_reduce_to_legendre,
@@ -21,7 +24,7 @@ from concordant.errors import (
     NoSolution,
     NotBiquadratic,
 )
-from concordant import quadforms
+from concordant import cli, quadforms, solver
 from concordant.integers import primitive_normalize, squarefree_part
 from concordant.quadforms import (
     ConicParametrization,
@@ -220,6 +223,69 @@ class TestFindConicPoint:
         assert outcomes["point"] >= 500
         assert outcomes["NoSolution"] >= 500
         assert outcomes["EffortExhausted"] >= 50
+
+    def test_matches_shell_oracle_on_pool_conics(self, monkeypatch):
+        # every conic the solver asks for on the first member of each group
+        # of the benchmark's large-k pool, box-policy curves included: the
+        # lattice search returns the shell scan's point or error
+        pool_file = Path(__file__).resolve().parents[1] / "perfbench" / "largek_pool.json"
+        pool = json.loads(pool_file.read_text())
+        forms = []
+        search = solver.find_conic_point
+
+        def record(form, *args):
+            forms.append(form)
+            return search(form, *args)
+
+        monkeypatch.setattr(solver, "find_conic_point", record)
+        for group in pool["groups"]:
+            try:
+                cli.run_solve(*group["members"][0], radius_cap=pool["radius_cap"])
+            except EffortExhausted:
+                pass
+        monkeypatch.undo()
+        assert len(forms) >= 50
+        kinds = set()
+        for form in forms:
+            expected = _outcome(oracle_shell_find_conic_point, form, 20_000_000)
+            assert _outcome(find_conic_point, form, 20_000_000) == expected, form
+            kinds.add(expected[0] if isinstance(expected[0], str) else "point")
+        assert kinds == {"point", "EffortExhausted"}
+
+    def test_matches_shell_oracle_on_planted_forms(self):
+        # a planted point (x0, x1, 1) on a*X0^2 + b*X1^2 + c*X2^2 with a, b
+        # products of up to three small primes: every form is solvable, and
+        # most reduce to coefficients with three to five odd primes, so many
+        # congruence lattices and sign orbits are searched
+        rng = random.Random(20261018)
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+        points = forms = 0
+        while forms < 1000:
+            a, b = (
+                rng.choice([1, -1]) * math.prod(rng.sample(primes, rng.randint(1, 3)))
+                for _ in "ab"
+            )
+            x0, x1 = rng.randint(-9, 9), rng.randint(-9, 9)
+            try:
+                form = TernaryForm(a, 0, b, -(a * x0 * x0 + b * x1 * x1))
+            except DegenerateForm:
+                continue
+            forms += 1
+            expected = _outcome(oracle_shell_find_conic_point, form, 2_000_000)
+            assert _outcome(find_conic_point, form, 2_000_000) == expected, form
+            points += not isinstance(expected[0], str)
+        assert points >= 300
+
+    def test_large_box_with_the_policy_lifted(self):
+        # the reduced form has |abc| near 1.7e20: a basis reduction in floats
+        # stalls there with entries near the modulus, the integral one does not
+        form = TernaryForm(653160, 0, -267854, -2340205991850)
+        assert reduce_to_legendre(form).coefficients == (27215, -401781, -15601373279)
+        with pytest.raises(EffortExhausted):
+            find_conic_point(form)
+        point = find_conic_point(form, 10**40)
+        assert form(*point) == 0
+        assert primitive_normalize(point) == point
 
     def test_point_lies_on_form_property(self):
         hypothesis = pytest.importorskip("hypothesis")
