@@ -24,7 +24,8 @@ import json
 import sys
 import time
 from fractions import Fraction
-from multiprocessing import Pool
+from multiprocessing import Pipe, Process
+from multiprocessing.connection import wait
 from types import SimpleNamespace
 
 from .curves import ConcordantCurve, CurvePoint, log_height, point_log_height
@@ -45,8 +46,7 @@ from .errors import (
     StageMismatch,
 )
 from .fixtures import Fixture, load_fixture
-from .integers import RadiusSchedule
-from .solver import SearchOutcome, StagePins, strong_solve
+from .solver import PreparedSearch, SearchOutcome, StagePins, prepare_search
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -170,9 +170,9 @@ def _cap_ladder(radius_cap: int) -> list[int]:
 @contextlib.contextmanager
 def _job_map(workers: int):
     """An ordered, lazy map over a run's independent jobs: the builtin map
-    for a serial run, else the imap of the run's one process pool.  Leaving
-    the block terminates the pool, so a run that is done does not wait for
-    jobs that were started ahead of need."""
+    for a serial run, else the imap of the run's one set of worker
+    processes.  Leaving the block stops the workers, so a run that is done
+    does not wait for jobs that were started ahead of need."""
     if workers <= 1:
         yield map
         return
@@ -181,31 +181,107 @@ def _job_map(workers: int):
     # and copy the pages they sit on
     gc.freeze()
     try:
-        pool = Pool(workers)
+        pool = _WorkerPool(workers)
     finally:
         gc.unfreeze()
     with pool:
         yield pool.imap
 
 
+class _WorkerPool:
+    """Worker processes that each talk to this process over a pipe of their
+    own.  The workers of a multiprocessing.Pool share one result queue and
+    its lock, and a worker stopped while it holds that lock makes the pool's
+    terminate() wait forever; stopping one of these mid-job holds nothing."""
+
+    def __init__(self, workers: int):
+        self.workers = []
+        for _ in range(workers):
+            here, there = Pipe()
+            proc = Process(target=_serve, args=(there,), daemon=True)
+            proc.start()
+            there.close()
+            self.workers.append((proc, here))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for proc, _ in self.workers:
+            proc.terminate()
+        for proc, conn in self.workers:
+            proc.join()
+            conn.close()
+
+    def imap(self, func, items):
+        """func over items, one job per idle worker, yielding the results in
+        the order of items; a job's exception is raised in its place.  One
+        imap at a time: each takes every worker to be idle."""
+        jobs = enumerate(items)
+        idle = [conn for _, conn in self.workers]
+        running, done, want = {}, {}, 0
+        while True:
+            while idle:
+                job = next(jobs, None)
+                if job is None:
+                    break
+                conn = idle.pop()
+                conn.send((func, job[1]))
+                running[conn] = job[0]
+            if want in done:
+                ok, value = done.pop(want)
+                want += 1
+                if not ok:
+                    raise value
+                yield value
+            elif not running:
+                return
+            else:
+                for conn in wait(list(running)):
+                    done[running.pop(conn)] = conn.recv()
+                    idle.append(conn)
+
+
+def _serve(conn):
+    # one worker: run each (func, item) that arrives, send back (ok, value)
+    while True:
+        try:
+            func, item = conn.recv()
+        except EOFError:
+            return
+        try:
+            result = (True, func(item))
+        except Exception as exc:
+            result = (False, exc)
+        conn.send(result)
+
+
 def _search_class(
-    curve: ConcordantCurve, cap: int, pins: StagePins | None, t: DescentTriplet
-) -> tuple[SearchOutcome, CurvePoint] | EffortExhausted:
-    """One class searched at one rung's radius cap: (outcome, point), the
-    point lifted to the curve and checked there, or the EffortExhausted that
-    ends the class at this rung.  A class whose search runs out, whose space
-    is provably empty or degenerate, or whose square factors outrun the
-    factoring budget is exhausted."""
-    space = build_homogeneous_space(t, curve.m, curve.n)
+    curve: ConcordantCurve,
+    cap: int,
+    pins: StagePins | None,
+    state: DescentTriplet | PreparedSearch,
+) -> tuple[DescentTriplet | PreparedSearch, tuple[SearchOutcome, CurvePoint] | EffortExhausted]:
+    """One class searched at one rung's radius cap.  `state` is the class's
+    triplet at the first rung and, after that, what the previous rung
+    returned for it: its prepared search, advanced that far, or the triplet
+    again when preparing it failed.  Returns (state, result), where result
+    is (outcome, point), the point lifted to the curve and checked there,
+    or the EffortExhausted that ends the class at this rung.  A class whose
+    search runs out, whose space is provably empty or degenerate, or whose
+    square factors outrun the factoring budget is exhausted."""
+    t = state if isinstance(state, DescentTriplet) else state.space.triplet
     try:
-        outcome = strong_solve(space, RadiusSchedule(1, cap), pins=pins)
+        if state is t:
+            state = prepare_search(build_homogeneous_space(t, curve.m, curve.n), pins)
+        outcome = state.advance(cap)
     except EffortExhausted as exc:
-        return exc
+        return state, exc
     except (NoSolution, DegenerateKernel, FactorizationIncomplete) as exc:
-        return EffortExhausted(f"{t.as_tuple()}: {exc}")
+        return state, EffortExhausted(f"{t.as_tuple()}: {exc}")
     point = lift_solution(t, curve.m, curve.n, outcome.space_solution)
     _verify_point(curve, point)
-    return outcome, point
+    return state, (outcome, point)
 
 
 def search_curve(
@@ -216,19 +292,24 @@ def search_curve(
     jobs=map,
 ) -> tuple[DescentTriplet, SearchOutcome, CurvePoint]:
     """The class x cap-ladder search: every class is searched at a rung's
-    radius cap before any class gets the next rung.  `jobs` maps the rung's
-    classes in order (see `_job_map`); the first class in that order that
-    hits wins, however the jobs are run.
+    radius cap before any class gets the next rung.  Each class is prepared
+    once and its search resumed at the next rung; `jobs` maps the rung's
+    classes in order (see `_job_map`), and each job hands back the class's
+    advanced search.  The first class in that order that hits wins, however
+    the jobs are run.
 
     Returns (triplet, outcome, point) for the first hit; raises
     EffortExhausted naming the last failure when every class is exhausted
     at every rung."""
     if not triplets:
         raise EffortExhausted("no surviving descent classes to search")
+    states = list(triplets)
     for cap in ladder:
-        results = jobs(functools.partial(_search_class, curve, cap, pins), triplets)
-        for t, result in zip(triplets, results):
+        results = jobs(functools.partial(_search_class, curve, cap, pins), states)
+        states = []
+        for t, (state, result) in zip(triplets, results):
             if isinstance(result, EffortExhausted):
+                states.append(state)
                 last_exhaustion = result
                 continue
             outcome, point = result

@@ -6,7 +6,9 @@ results are exact at any size.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -42,19 +44,22 @@ def is_perfect_square(n: int) -> Optional[int]:
 # factoring
 
 _SPF_LIMIT = 1 << 20
-_spf_table: list[int] | None = None
+_spf_table: array | None = None
 
 
-def _spf() -> list[int]:
-    # smallest-prime-factor sieve; built once, on first use
+def _spf() -> array:
+    # smallest-prime-factor sieve; built once, on first use.  An array, not a
+    # list, so the collector never walks its million entries and building it
+    # makes no int object per entry.  The smallest prime p of a composite has
+    # p*p <= it, so writing the multiples of each prime up to the square root
+    # of the limit, largest prime first, leaves the smallest prime in place.
     global _spf_table
     if _spf_table is None:
-        table = list(range(_SPF_LIMIT))
-        for i in range(2, math.isqrt(_SPF_LIMIT) + 1):
-            if table[i] == i:
-                for j in range(i * i, _SPF_LIMIT, i):
-                    if table[j] == j:
-                        table[j] = i
+        small = range(2, math.isqrt(_SPF_LIMIT) + 1)
+        primes = [p for p in small if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        table = array("L", range(_SPF_LIMIT))
+        for p in reversed(primes):
+            table[p * p :: p] = array("L", [p]) * len(range(p * p, _SPF_LIMIT, p))
         _spf_table = table
     return _spf_table
 
@@ -395,6 +400,8 @@ def euler_phi(n: int) -> int:
     return out if n > 1 else 1
 
 
+# every search asks for the radii from 1 up to its cap, and phi factors r
+@functools.cache
 def shell_size(r: int) -> int:
     """len(shell_pairs(r)) without generating the shell: both edges of the
     ring contribute 2*phi(r) coprime pairs (plus the axis pair at radius 1)."""

@@ -227,8 +227,9 @@ def scan_shell(sieve: QuarticSieve, r: int) -> Optional[tuple[int, int, int, int
     return None
 
 
-# every class search rescans from radius 1, so the cache holds every radius
-# up to the series cap (300) and beyond: about 0.45 MB when all 512 are held
+# every search scans from radius 1 upward, so all of them visit the same
+# radii; the cache holds every radius up to the series cap (300) and beyond:
+# about 0.45 MB when all 512 are held
 @functools.lru_cache(maxsize=512)
 def _repunits(r: int) -> tuple[int, ...]:
     # per sieve prime p, bits 0, p, 2p, ... over at least 2r - 1 + p bits:
@@ -240,21 +241,41 @@ def _repunits(r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@dataclass
+class ScanRound:
+    """One round of a search: sieves scanned side by side, resumable.  No
+    shell below `next_shell` holds a hit of any sieve, and `tested` counts
+    the coprime pairs of those shells over all the sieves.  A strong round
+    keeps its square factors `mus`; their parametrizations `gammas` and
+    their sieves are built when a search first reaches the round."""
+
+    mus: tuple[int, ...] = ()
+    gammas: Optional[tuple[ConicParametrization, ...]] = None
+    sieves: Optional[tuple[QuarticSieve, ...]] = None
+    next_shell: int = 1
+    tested: int = 0
+
+
 def scan_schedule(
-    sieves: Sequence[QuarticSieve], schedule: RadiusSchedule
+    scan: ScanRound, cap: Optional[int]
 ) -> Optional[tuple[int, tuple[int, int], int, int]]:
-    """Round-robin scan of the sieves over the schedule's shells: shell r of
-    sieve i follows shell r of sieves 0..i-1 in the enumeration.  Returns
-    (sieve index, (s, t), sigma, pairs tested up to the hit) for the earliest
-    hit, or None once the schedule is exhausted."""
-    offset = 0
-    for r in schedule.shells():
+    """Round-robin scan of the round's sieves from its next shell up to
+    `cap` (no bound when None): shell r of sieve i follows shell r of sieves
+    0..i-1 in the enumeration.  Returns (sieve index, (s, t), sigma, pairs
+    tested from radius 1 up to the hit) for the earliest hit, or None once
+    the shells up to `cap` are exhausted.  Only a shell scanned in full
+    advances the round, so a later call with a larger cap resumes it and
+    returns what one call at that cap would."""
+    r, tested = scan.next_shell, scan.tested
+    while cap is None or r <= cap:
         size = shell_size(r)
-        for si, sieve in enumerate(sieves):
+        for si, sieve in enumerate(scan.sieves):
             hit = scan_shell(sieve, r)
             if hit is not None:
-                return si, (hit[1], hit[2]), hit[3], offset + hit[0] + 1
-            offset += size
+                return si, (hit[1], hit[2]), hit[3], tested + hit[0] + 1
+            tested += size
+        r += 1
+        scan.next_shell, scan.tested = r, tested
     return None
 
 
@@ -302,33 +323,52 @@ class SearchOutcome:
 # ---------------------------------------------------------------------------
 # weak search
 
-def weak_solve(
-    q1: Triple,
-    q2: Triple,
-    schedule: RadiusSchedule,
-    base: Optional[Triple] = None,
-) -> SearchOutcome:
-    """Parametrize Q1 from any point, then scan coprime parameter pairs until
-    -b33*(b00*F0^2 + b11*F1^2) is a nonzero perfect square; the quadruple is
-    (F0, F1, F2, root) cleared to a primitive integer vector.
+@dataclass
+class WeakSearch:
+    """The weak search prepared up to its scan: Q1's parametrization phi,
+    |b33| to scale a hit back, and the scan of -b33*(b00*F0^2 + b11*F1^2)."""
 
-    Hits whose quadruple has a zero coordinate are skipped; they correspond
-    to torsion images and are useless downstream.  The outcome knows no
-    space, so its selection and space solution are None.
-    """
+    phi: ConicParametrization
+    scale: int
+    scan: ScanRound
+
+    def advance(self, cap: Optional[int]) -> SearchOutcome:
+        """The outcome of a fresh weak search up to radius `cap`; raises
+        EffortExhausted when it has none."""
+        hit = scan_schedule(self.scan, cap)
+        if hit is None:
+            raise EffortExhausted("weak search schedule exhausted")
+        _, (s, t), root, tested = hit
+        quad = primitive_normalize(tuple(self.scale * f for f in self.phi(s, t)) + (root,))
+        return SearchOutcome("weak", quad, (s, t), tested)
+
+
+def _prepare_weak(q1: Triple, q2: Triple, base: Optional[Triple] = None) -> WeakSearch:
     form = TernaryForm(q1[0], 0, q1[1], q1[2])
     if base is None:
         base = find_conic_point(form)
     phi = parametrize_conic(form, base)
     b00, b11, b33 = q2
     sieve = quartic_sieve(compose_quartic((-b33 * b00, 0, -b33 * b11), phi), 1, phi.rows)
-    hit = scan_schedule([sieve], schedule)
-    if hit is None:
-        raise EffortExhausted("weak search schedule exhausted")
-    _, (s, t), root, tested = hit
-    scale = abs(b33)
-    quad = primitive_normalize(tuple(scale * f for f in phi(s, t)) + (root,))
-    return SearchOutcome("weak", quad, (s, t), tested)
+    return WeakSearch(phi, abs(b33), ScanRound(sieves=(sieve,)))
+
+
+def weak_solve(
+    q1: Triple,
+    q2: Triple,
+    schedule: RadiusSchedule,
+    base: Optional[Triple] = None,
+) -> SearchOutcome:
+    """Parametrize Q1 from any point, then scan coprime parameter pairs from
+    radius 1 up to the schedule's cap until -b33*(b00*F0^2 + b11*F1^2) is a
+    nonzero perfect square; the quadruple is (F0, F1, F2, root) cleared to
+    a primitive integer vector.
+
+    Hits whose quadruple has a zero coordinate are skipped; they correspond
+    to torsion images and are useless downstream.  The outcome knows no
+    space, so its selection and space solution are None.
+    """
+    return _prepare_weak(q1, q2, base).advance(schedule.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -470,38 +510,80 @@ def scaled_square_conic(row: Triple, mu: int) -> TernaryForm:
     return TernaryForm(row[0], row[1], row[2], -mu)
 
 
-def strong_solve(
-    space: HomogeneousSpace,
-    schedule: Optional[RadiusSchedule] = None,
-    pins: Optional[StagePins] = None,
-) -> SearchOutcome:
-    """Full staged search on a homogeneous space.
+@dataclass
+class StrongSearch:
+    """The strong chain prepared up to its final scan: phi, psi, the kernel,
+    the cross term, the candidate square factors and one ScanRound per
+    round of square factors (the candidates, then the completion)."""
 
-    Falls back to the weak search when no quadric of the space has a
-    zero-coordinate point, or when the kernel stage degenerates.  Either
-    hit is mapped to the space's variable order and checked against its
-    four quadrics here.
-    """
-    schedule = schedule or RadiusSchedule(1, 2000)
-    pins = pins or StagePins()
-    degenerate = None
-    try:
-        sel = select_equation_pair(space)
-        outcome = _strong_chain(sel, schedule, pins)
-    except (ConditionFailure, DegenerateKernel) as exc:
-        if isinstance(exc, DegenerateKernel):
-            degenerate = str(exc)
-        sel = weak_pair(space)
-        outcome = weak_solve(sel.q1, sel.q2, schedule, base=pins.base_q1)
-    solution = solution_in_space_order(sel, outcome.quadruple)
-    if not space.satisfied_by(solution):
-        raise VerificationFailure(f"{outcome.method} result does not satisfy the space")
-    return dataclasses.replace(
-        outcome, selection=sel, space_solution=solution, degenerate_kernel=degenerate
-    )
+    selection: PairSelection
+    phi: ConicParametrization
+    psi: ConicParametrization
+    kernel: Triple
+    cross_term: int
+    mu_candidates: list[int]
+    rounds: list[ScanRound]
+    pins: StagePins
+
+    def _gamma(self, mu: int) -> ConicParametrization:
+        q4 = scaled_square_conic(self.psi.rows[0], mu)
+        base_q4 = self.pins.base_q4 or find_conic_point(q4)
+        if self.pins.gamma_rows is not None:
+            return pinned_parametrization(q4, base_q4, self.pins.gamma_rows)
+        return parametrize_conic(q4, base_q4)
+
+    def advance(self, cap: Optional[int]) -> SearchOutcome:
+        """The outcome of a fresh final search up to radius `cap`: the
+        rounds in order, each over its per-mu quartics with a shared shell
+        radius.  Raises EffortExhausted when there is none."""
+        pins, psi = self.pins, self.psi
+        if pins.rho is not None:
+            if pins.mu is None:
+                raise InvalidArgument("pinned final parameters need a pinned square factor")
+            mu, gamma = pins.mu, self._gamma(pins.mu)
+            sigma1 = quartic_hit(compose_quartic(psi.rows[1], gamma), mu, *pins.rho)
+            if sigma1 is None:
+                raise InvalidArgument(f"pinned parameters {pins.rho} are not a hit")
+            rho, tested, round_no = tuple(pins.rho), 1, 0
+        else:
+            for round_no, rnd in enumerate(self.rounds):
+                if rnd.sieves is None:
+                    gammas = tuple(self._gamma(mu) for mu in rnd.mus)
+                    rnd.sieves = tuple(
+                        quartic_sieve(compose_quartic(psi.rows[1], g), m)
+                        for g, m in zip(gammas, rnd.mus)
+                    )
+                    rnd.gammas = gammas
+                hit = scan_schedule(rnd, cap)
+                if hit is not None:
+                    si, rho, sigma1, tested = hit
+                    mu, gamma = rnd.mus[si], rnd.gammas[si]
+                    break
+            else:
+                raise EffortExhausted("final search schedule exhausted")
+
+        quadruple, zvec, yvec = back_substitute(
+            self.phi, psi, mu, gamma, rho, sigma1, self.selection
+        )
+        chain = ChainState(
+            phi=self.phi,
+            psi=psi,
+            kernel=self.kernel,
+            cross_term=self.cross_term,
+            mu_candidates=self.mu_candidates,
+            completion_used=round_no > 0,
+            mu=mu,
+            gamma=gamma,
+            q5=scaled_square_conic(psi.rows[1], mu),
+            quartic=compose_quartic(psi.rows[1], gamma),
+            sigma1=sigma1,
+            z_values=zvec,
+            y_values=yvec,
+        )
+        return SearchOutcome("strong", quadruple, rho, tested, chain=chain)
 
 
-def _strong_chain(sel: PairSelection, schedule: RadiusSchedule, pins: StagePins) -> SearchOutcome:
+def _prepare_strong(sel: PairSelection, pins: StagePins) -> StrongSearch:
     q1_form = TernaryForm(sel.q1[0], 0, sel.q1[1], sel.q1[2])
     base1 = pins.base_q1 or sel.base
     if pins.phi_rows is not None:
@@ -527,59 +609,72 @@ def _strong_chain(sel: PairSelection, schedule: RadiusSchedule, pins: StagePins)
     if pins.mu is not None:
         if pins.mu not in candidates and pins.mu not in completion:
             raise InvalidArgument(f"mu={pins.mu} is not among the candidates {candidates}")
-        rounds = [[pins.mu]]
+        rounds = [(pins.mu,)]
     else:
-        rounds = [r for r in (candidates, completion) if r]
+        rounds = [tuple(r) for r in (candidates, completion) if r]
     if not rounds:
         raise DegenerateKernel("no surviving square factors")
-
-    def _gamma(mu):
-        q4 = scaled_square_conic(psi.rows[0], mu)
-        base_q4 = pins.base_q4 or find_conic_point(q4)
-        if pins.gamma_rows is not None:
-            return pinned_parametrization(q4, base_q4, pins.gamma_rows)
-        return parametrize_conic(q4, base_q4)
-
-    if pins.rho is not None:
-        if pins.mu is None:
-            raise InvalidArgument("pinned final parameters need a pinned square factor")
-        mu, gamma = pins.mu, _gamma(pins.mu)
-        sigma1 = quartic_hit(compose_quartic(psi.rows[1], gamma), mu, *pins.rho)
-        if sigma1 is None:
-            raise InvalidArgument(f"pinned parameters {pins.rho} are not a hit")
-        rho, tested, round_no = tuple(pins.rho), 1, 0
-    else:
-        # round-robin over the per-mu quartics with a shared shell radius
-        for round_no, mus in enumerate(rounds):
-            gammas = [_gamma(mu) for mu in mus]
-            sieves = [
-                quartic_sieve(compose_quartic(psi.rows[1], g), m) for g, m in zip(gammas, mus)
-            ]
-            hit = scan_schedule(sieves, schedule)
-            if hit is not None:
-                si, rho, sigma1, tested = hit
-                mu, gamma = mus[si], gammas[si]
-                break
-        else:
-            raise EffortExhausted("final search schedule exhausted")
-
-    quadruple, zvec, yvec = back_substitute(phi, psi, mu, gamma, rho, sigma1, sel)
-    chain = ChainState(
-        phi=phi,
-        psi=psi,
-        kernel=kernel,
-        cross_term=cross,
-        mu_candidates=candidates,
-        completion_used=round_no > 0,
-        mu=mu,
-        gamma=gamma,
-        q5=scaled_square_conic(psi.rows[1], mu),
-        quartic=compose_quartic(psi.rows[1], gamma),
-        sigma1=sigma1,
-        z_values=zvec,
-        y_values=yvec,
+    return StrongSearch(
+        sel, phi, psi, kernel, cross, candidates, [ScanRound(mus) for mus in rounds], pins
     )
-    return SearchOutcome("strong", quadruple, rho, tested, chain=chain)
+
+
+@dataclass
+class PreparedSearch:
+    """A search of one homogeneous space, built once and advanced rung by
+    rung.  Everything before the final scan is built when it is prepared;
+    every shell a round has scanned is known to hold no hit, so advancing
+    to a cap returns what a fresh search at that cap returns.  The state
+    is plain data, so it pickles: a pool job can take it and return it
+    advanced."""
+
+    space: HomogeneousSpace
+    selection: PairSelection
+    search: StrongSearch | WeakSearch
+    degenerate_kernel: Optional[str] = None   # why a strong chain fell back
+
+    def advance(self, cap: Optional[int]) -> SearchOutcome:
+        """The search's hit up to radius `cap` (no bound when None), mapped
+        to the space's variable order and checked against its four quadrics
+        here; raises EffortExhausted when there is none."""
+        outcome = self.search.advance(cap)
+        solution = solution_in_space_order(self.selection, outcome.quadruple)
+        if not self.space.satisfied_by(solution):
+            raise VerificationFailure(f"{outcome.method} result does not satisfy the space")
+        return dataclasses.replace(
+            outcome,
+            selection=self.selection,
+            space_solution=solution,
+            degenerate_kernel=self.degenerate_kernel,
+        )
+
+
+def prepare_search(space: HomogeneousSpace, pins: Optional[StagePins] = None) -> PreparedSearch:
+    """Prepare the staged search of a space: the strong chain up to its
+    final scan, or the weak search when no quadric of the space has a
+    zero-coordinate point or the kernel stage degenerates."""
+    pins = pins or StagePins()
+    degenerate = None
+    try:
+        sel = select_equation_pair(space)
+        search = _prepare_strong(sel, pins)
+    except (ConditionFailure, DegenerateKernel) as exc:
+        if isinstance(exc, DegenerateKernel):
+            degenerate = str(exc)
+        sel = weak_pair(space)
+        search = _prepare_weak(sel.q1, sel.q2, base=pins.base_q1)
+    return PreparedSearch(space, sel, search, degenerate)
+
+
+def strong_solve(
+    space: HomogeneousSpace,
+    schedule: Optional[RadiusSchedule] = None,
+    pins: Optional[StagePins] = None,
+) -> SearchOutcome:
+    """Full staged search on a homogeneous space, from radius 1 up to the
+    schedule's cap: `prepare_search`, then one advance to that cap."""
+    schedule = schedule or RadiusSchedule(1, 2000)
+    return prepare_search(space, pins).advance(schedule.cap)
 
 
 def back_substitute(

@@ -4,9 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from concordant.descent import DescentTriplet, build_homogeneous_space, torsion_columns
-from concordant.errors import EffortExhausted, NoSolution
+from concordant.descent import (
+    DescentTriplet,
+    build_homogeneous_space,
+    lift_solution,
+    torsion_columns,
+)
+from concordant.errors import (
+    DegenerateKernel,
+    EffortExhausted,
+    FactorizationIncomplete,
+    NoSolution,
+)
 from concordant.integers import (
+    RadiusSchedule,
     factorize,
     is_perfect_square,
     primitive_normalize,
@@ -20,6 +31,7 @@ from concordant.quadforms import (
     legendre_solvable,
     reduce_to_legendre,
 )
+from concordant.solver import strong_solve
 
 
 def brute_legendre_solvable(a: int, b: int, c: int) -> bool:
@@ -294,6 +306,26 @@ def oracle_final_search(quartics_mus, cap):
                 return qi, (hit[1], hit[2]), hit[3], hit[0] + 1
             offset += len(pairs)
     return None
+
+
+def oracle_search_curve(curve, triplets, ladder, pins=None):
+    """The class x cap-ladder loop that resumed searches replaced: every
+    rung searches each class afresh with one strong_solve from radius 1.
+    Returns (triplet, outcome, point), the point lifted to the curve, or
+    raises the last EffortExhausted."""
+    for cap in ladder:
+        for t in triplets:
+            space = build_homogeneous_space(t, curve.m, curve.n)
+            try:
+                outcome = strong_solve(space, RadiusSchedule(1, cap), pins=pins)
+            except EffortExhausted as exc:
+                last = exc
+                continue
+            except (NoSolution, DegenerateKernel, FactorizationIncomplete) as exc:
+                last = EffortExhausted(f"{t.as_tuple()}: {exc}")
+                continue
+            return t, outcome, lift_solution(t, curve.m, curve.n, outcome.space_solution)
+    raise last
 
 
 def oracle_triplet_solvable(t, m: int, n: int) -> tuple[bool, str]:

@@ -44,10 +44,11 @@ _FIRST_HIT_34 = DescentTriplet(1, 2, 2)
 _real_search_class = concordant.cli._search_class
 
 
-def _first_hit_finishes_last(curve, cap, pins, t):
-    if t == _FIRST_HIT_34:
+def _first_hit_finishes_last(curve, cap, pins, state):
+    # at the first rung each job gets its class's triplet
+    if state == _FIRST_HIT_34:
         time.sleep(1.0)
-    return _real_search_class(curve, cap, pins, t)
+    return _real_search_class(curve, cap, pins, state)
 
 
 def _edited_n142(tmp_path, old, new):
@@ -380,13 +381,13 @@ class TestSeriesCommand:
 
     def test_one_process_pool_per_run(self, monkeypatch):
         built = []
-        real_pool = concordant.cli.Pool
+        real_pool = concordant.cli._WorkerPool
 
         def counting_pool(*args, **kwargs):
             built.append(args)
             return real_pool(*args, **kwargs)
 
-        monkeypatch.setattr(concordant.cli, "Pool", counting_pool)
+        monkeypatch.setattr(concordant.cli, "_WorkerPool", counting_pool)
         rows = run_series("cong5", 61, radius_cap=300, workers=2)
         assert [r["k"] for r in rows] == ["5", "13", "29", "37", "53", "61"]
         assert built == [(2,)]
@@ -442,6 +443,24 @@ class TestSolveJobMap:
         assert serial[0] == parallel[0] == EXIT_OK
         assert serial[1] == parallel[1]
 
+    def test_resumed_searches_cross_a_crowded_pool(self):
+        # four workers, more than the classes of a rung; ladder 100/500/600
+        # with the hit at radius 375 of the second class, so each rung's jobs
+        # resume searches other workers advanced.  Subprocesses bound the
+        # wait on a hung pool.
+        env = {**os.environ, "PYTHONPATH": str(Path(concordant.__file__).parents[1])}
+        outputs = []
+        for workers in ("1", "4"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "concordant", "solve", "--p", "1", "--q", "1",
+                 "--k", "127", "--radius-cap", "600", "--workers", workers, "--format", "json"],
+                capture_output=True, env=env, timeout=120,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr.decode()
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["stats"]["pairs_tested"] == 682576
+
     def test_all_classes_exhausted_at_any_worker_count(self, capsys):
         serial = self._solve(capsys, "127", "1")
         parallel = self._solve(capsys, "127", "2")
@@ -471,13 +490,13 @@ class TestReproduceCommand:
 
     def test_replay_runs_the_production_solve(self, monkeypatch):
         calls = []
-        real = concordant.cli.strong_solve
+        real = concordant.cli.prepare_search
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["pins"])
-            return real(*args, **kwargs)
+        def counting(space, pins):
+            calls.append(pins)
+            return real(space, pins)
 
-        monkeypatch.setattr(concordant.cli, "strong_solve", counting)
+        monkeypatch.setattr(concordant.cli, "prepare_search", counting)
         assert run_reproduce(load_fixture("n142"))["ok"] is True
         assert len(calls) == 1
         assert calls[0].rho == (20, 3)

@@ -23,6 +23,7 @@ from concordant.integers import (
 from concordant.quadforms import TernaryForm, compose_quartic, find_conic_point, parametrize_conic
 from concordant.solver import (
     SIEVE_PRIMES,
+    ScanRound,
     StagePins,
     kernel_cross_term,
     parameter_kernel,
@@ -402,7 +403,7 @@ class TestScanKernel:
             sieves = [quartic_sieve(q, mu) for q, mu in qm]
             for cap in (1, 20, 60):
                 expected = oracle_final_search(qm, cap)
-                assert scan_schedule(sieves, RadiusSchedule(1, cap)) == expected
+                assert scan_schedule(ScanRound(sieves=tuple(sieves)), cap) == expected
 
     def test_weak_forms_match_oracle(self):
         forms = [
@@ -424,16 +425,17 @@ class TestScanKernel:
     def test_skip_drops_zero_coordinate_hits(self):
         # on X0^2 + X1^2 = X2^2 every pair is a hit for X0^2 + X1^2 = X3^2,
         # and every pair of shell 1 gives a zero coordinate
-        q, schedule = (1, 1, -1), RadiusSchedule(1, 5)
+        q = (1, 1, -1)
         form = TernaryForm(1, 0, 1, -1)
         phi = parametrize_conic(form, find_conic_point(form))
         quartic = compose_quartic((1, 0, 1), phi)
         found = []
         for nonzero in ((), phi.rows):
-            _, (s, t), root, tested = scan_schedule([quartic_sieve(quartic, 1, nonzero)], schedule)
+            scan = ScanRound(sieves=(quartic_sieve(quartic, 1, nonzero),))
+            _, (s, t), root, tested = scan_schedule(scan, 5)
             found.append((primitive_normalize(phi(s, t) + (root,)), tested))
         assert found == [((1, 0, 1, 1), 1), ((3, 4, 5, 5), 6)]
-        out = weak_solve(q, q, schedule)
+        out = weak_solve(q, q, RadiusSchedule(1, 5))
         assert (out.quadruple, out.pairs_tested) == ((3, 4, 5, 5), 6)
 
     def test_square_value_is_never_sieved_out(self):
