@@ -16,8 +16,6 @@ from .descent import (
 )
 from .integers import (
     Factorization,
-    RadiusSchedule,
-    coprime_pairs,
     factorize,
     is_perfect_square,
     primitive_normalize,
@@ -26,14 +24,11 @@ from .integers import (
 from .quadforms import (
     ConicParametrization,
     LegendreForm,
-    QuarticForm,
     TernaryForm,
-    biquadratic_to_ternary,
     find_conic_point,
     legendre_solvable,
     parametrize_conic,
     reduce_to_legendre,
-    substitute_into_partner,
     zero_coordinate_point,
 )
 from .solver import (

@@ -100,16 +100,47 @@ def _parse_list(flag: str, text: str, count: int, kind=int) -> list:
         raise InvalidArgument(f"{flag} has a malformed value in {text!r}") from None
 
 
+def _has_shape(value, shape: tuple[int, ...]) -> bool:
+    # shape () is one int; (n, *rest) is n values of shape rest
+    if not shape:
+        return type(value) is int
+    return (
+        isinstance(value, tuple)
+        and len(value) == shape[0]
+        and all(_has_shape(v, shape[1:]) for v in value)
+    )
+
+
+def _fixture_value(fixture: Fixture, key: str, shape: tuple[int, ...]):
+    """The fixture's value for `key`, which must have `shape`; a malformed
+    value is an InvalidArgument naming the key."""
+    value = fixture[key]
+    if not _has_shape(value, shape):
+        want = " by ".join(map(str, shape)) + " integers" if shape else "an integer"
+        raise InvalidArgument(f"fixture {fixture.name}: {key} must be {want}, got {value!r}")
+    return value
+
+
+# fixture key -> (StagePins field, shape of its value)
+_PIN_KEYS = {
+    "pin_base_q1": ("base_q1", (3,)),
+    "pin_phi": ("phi_rows", (3, 3)),
+    "pin_base_q3": ("base_q3", (3,)),
+    "pin_psi": ("psi_rows", (3, 3)),
+    "pin_mu": ("mu", ()),
+    "pin_base_q4": ("base_q4", (3,)),
+    "pin_gamma": ("gamma_rows", (3, 3)),
+    "pin_rho": ("rho", (2,)),
+}
+
+
 def pins_from_fixture(fixture: Fixture) -> StagePins:
     return StagePins(
-        base_q1=fixture.get("pin_base_q1"),
-        phi_rows=fixture.get("pin_phi"),
-        base_q3=fixture.get("pin_base_q3"),
-        psi_rows=fixture.get("pin_psi"),
-        mu=fixture.get("pin_mu"),
-        base_q4=fixture.get("pin_base_q4"),
-        gamma_rows=fixture.get("pin_gamma"),
-        rho=fixture.get("pin_rho"),
+        **{
+            field: _fixture_value(fixture, key, shape)
+            for key, (field, shape) in _PIN_KEYS.items()
+            if key in fixture
+        }
     )
 
 
@@ -629,10 +660,10 @@ _STAGES = (
 def run_reproduce(fixture: Fixture) -> dict:
     """The production solve of the fixture's class with every choice the
     fixture pins, compared stage by stage with its recorded values."""
-    p, q, k = fixture["p"], fixture["q"], fixture["k"]
+    p, q, k = (_fixture_value(fixture, key, ()) for key in "pqk")
     curve = ConcordantCurve.from_pqk(p, q, k)
     m, n = curve.m, curve.n
-    t = DescentTriplet(*fixture["triplet"])
+    t = DescentTriplet(*_fixture_value(fixture, "triplet", (3,)))
     diffs: list[dict] = []
     report = {
         "command": "reproduce",
@@ -792,6 +823,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.command in ("solve", "series") and args.radius_cap < 1:
+            raise InvalidArgument(f"--radius-cap must be at least 1, got {args.radius_cap}")
         if args.command == "classify":
             p, q, k = _curve_only(args).pqk()
             report = run_classify(p, q, k)
@@ -805,7 +838,7 @@ def main(argv=None) -> int:
                 fixture = load_fixture(args.fixture)
                 pins = pins_from_fixture(fixture)
                 if triplet is None and "triplet" in fixture:
-                    triplet = DescentTriplet(*fixture["triplet"])
+                    triplet = DescentTriplet(*_fixture_value(fixture, "triplet", (3,)))
             report = run_solve(
                 p,
                 q,

@@ -173,8 +173,6 @@ class HomogeneousSpace:
     e_c: TernaryForm  # vars (a, c, d)
     e_d: TernaryForm  # vars (a, b, c)
 
-    VAR_NAMES = ("a", "b", "c", "d")
-
     def quadrics(self) -> list[tuple[str, TernaryForm, tuple[str, str, str]]]:
         return [
             ("e_d", self.e_d, ("a", "b", "c")),
@@ -183,15 +181,11 @@ class HomogeneousSpace:
             ("e_c", self.e_c, ("a", "c", "d")),
         ]
 
-    def residuals(self, quad: dict[str, int]) -> list[int]:
-        vals = []
-        for _, form, vars_ in self.quadrics():
-            vals.append(form(*(quad[v] for v in vars_)))
-        return vals
-
     def satisfied_by(self, solution: tuple[int, int, int, int]) -> bool:
-        named = dict(zip(self.VAR_NAMES, solution))
-        return all(r == 0 for r in self.residuals(named))
+        named = dict(zip("abcd", solution))
+        return all(
+            form(*(named[v] for v in vars_)) == 0 for _, form, vars_ in self.quadrics()
+        )
 
 
 def _signed_primitive_form(c0: int, c1: int, c2: int) -> TernaryForm:
@@ -346,7 +340,6 @@ class Classification:
     generators: list[int]
     group_size: int
     triplets: list[DescentTriplet]
-    table: tuple
     classes: list[dict]
 
     @property
@@ -382,9 +375,7 @@ def classify(p: int, q: int, k: int) -> Classification:
                 "survives": all(ok for _, ok, _ in verdicts),
             }
         )
-    return Classification(
-        p, q, k, generators, 2 ** len(generators), triplets, table, classes
-    )
+    return Classification(p, q, k, generators, 2 ** len(generators), triplets, classes)
 
 
 def lift_solution(

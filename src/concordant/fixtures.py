@@ -70,9 +70,13 @@ def load_fixture(path_or_name: str) -> Fixture:
     """Load from a filesystem path, or from the bundled fixtures by name."""
     import os
 
-    if os.path.exists(path_or_name):
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            return parse_fixture(fh.read(), os.path.basename(path_or_name))
+    if os.path.isfile(path_or_name):
+        try:
+            with open(path_or_name, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidArgument(f"cannot read fixture {path_or_name}: {exc}") from None
+        return parse_fixture(text, os.path.basename(path_or_name))
     pkg_name = f"{path_or_name}.fixture"
     ref = resources.files("concordant") / "fixtures" / pkg_name
     if not ref.is_file():

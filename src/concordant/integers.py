@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: factoring, square detection, coprime pair streams.
+"""Exact integer arithmetic: factoring, square detection, coprime parameter shells.
 
 Everything here is pure and deterministic; values are plain Python ints, so
 results are exact at any size.
@@ -10,7 +10,7 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import FactorizationIncomplete, InvalidArgument
 
@@ -352,31 +352,6 @@ def vector_content(v: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # coprime parameter enumeration
 
-@dataclass(frozen=True)
-class RadiusSchedule:
-    """Successive max-norm shells start, start+1, ... up to cap (inclusive).
-
-    Each shell holds the coprime pairs (a, b), b >= 0, with max(|a|, |b|)
-    equal to the shell radius; shells are disjoint and, taken from radius 1,
-    exhaust every coprime pair up to the cap.
-    """
-
-    start: int = 1
-    cap: Optional[int] = None
-
-    def __post_init__(self):
-        if self.start < 1:
-            raise InvalidArgument("schedule start must be >= 1")
-        if self.cap is not None and self.cap < self.start:
-            raise InvalidArgument("schedule cap below start")
-
-    def shells(self) -> Iterator[int]:
-        r = self.start
-        while self.cap is None or r <= self.cap:
-            yield r
-            r += 1
-
-
 def shell_pairs(r: int) -> list[tuple[int, int]]:
     """Coprime pairs (a, b), b >= 0, max(|a|, |b|) == r, lexicographic order."""
     out = []
@@ -408,9 +383,3 @@ def shell_size(r: int) -> int:
     if r == 1:
         return 5
     return 4 * euler_phi(r)
-
-
-def coprime_pairs(schedule: RadiusSchedule) -> Iterator[tuple[int, int]]:
-    """Stream of coprime pairs in nondecreasing max-norm, lexicographic in shell."""
-    for r in schedule.shells():
-        yield from shell_pairs(r)

@@ -2,9 +2,9 @@
 
 Covers reduction to a squarefree pairwise-coprime diagonal ("Legendre") form,
 the classical solvability criterion, a bounded exhaustive point search, the
-projection parametrization of a conic from a known point, and the degree-4
-form obtained by pushing such a parametrization through a partner quadric
-that shares the first two variables.
+projection parametrization of a conic from a known point, and the binary
+quartic composition of a binary quadratic form with two rows of such a
+parametrization.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import (
     EffortExhausted,
     InvalidArgument,
     NoSolution,
-    NotBiquadratic,
     VerificationFailure,
 )
 from .integers import (
@@ -425,10 +424,6 @@ class ConicParametrization:
     def __call__(self, s: int, t: int) -> Triple:
         return tuple(r[0] * s * s + r[1] * s * t + r[2] * t * t for r in self.rows)
 
-    def evaluate_row(self, i: int, s: int, t: int) -> int:
-        r = self.rows[i]
-        return r[0] * s * s + r[1] * s * t + r[2] * t * t
-
     def column(self, j: int) -> Triple:
         return tuple(r[j] for r in self.rows)
 
@@ -526,24 +521,6 @@ def parametrize_conic(form: TernaryForm, base: Triple) -> ConicParametrization:
     return param
 
 
-@dataclass(frozen=True)
-class QuarticForm:
-    """b40*s^4 + b31*s^3 t + b22*s^2 t^2 + b13*s t^3 + b04*t^4 + b33*Z^2."""
-
-    b40: int
-    b31: int
-    b22: int
-    b13: int
-    b04: int
-    b33: int
-
-    def __post_init__(self):
-        g = vector_content((self.b40, self.b31, self.b22, self.b13, self.b04, self.b33))
-        if g > 1:
-            for name in ("b40", "b31", "b22", "b13", "b04", "b33"):
-                object.__setattr__(self, name, getattr(self, name) // g)
-
-
 def compose_quartic(form: Triple, param: ConicParametrization) -> tuple[int, int, int, int, int]:
     """Coefficients of form(row0, row1) as a binary quartic in the parameters
     of param, s^4 first; form holds the (X0^2, X0*X1, X1^2) coefficients."""
@@ -558,19 +535,3 @@ def compose_quartic(form: Triple, param: ConicParametrization) -> tuple[int, int
             acc[i] += coef * prod[i]
     return tuple(acc)
 
-
-def substitute_into_partner(
-    param: ConicParametrization, partner: tuple[int, int, int, int]
-) -> QuarticForm:
-    """Push rows 0 and 1 of the parametrization through the partner quadric
-    b00*X0^2 + b01*X0*X1 + b11*X1^2 + b33*X3^2; the result is degree 4 in the
-    parameters and pure degree 2 in X3."""
-    b00, b01, b11, b33 = partner
-    return QuarticForm(*compose_quartic((b00, b01, b11), param), b33)
-
-
-def biquadratic_to_ternary(quartic: QuarticForm) -> TernaryForm:
-    """Read a biquadratic s^4/s^2t^2/t^4 form as a conic in (s^2, t^2, Z)."""
-    if quartic.b31 != 0 or quartic.b13 != 0:
-        raise NotBiquadratic(f"odd coefficients {quartic.b31}, {quartic.b13} nonzero")
-    return TernaryForm(quartic.b40, quartic.b22, quartic.b04, quartic.b33)

@@ -26,10 +26,10 @@ from .errors import (
     DegenerateKernel,
     EffortExhausted,
     InvalidArgument,
+    NotBiquadratic,
     VerificationFailure,
 )
 from .integers import (
-    RadiusSchedule,
     factorize,
     is_perfect_square,
     primitive_normalize,
@@ -40,14 +40,12 @@ from .integers import (
 from .quadforms import (
     ConicParametrization,
     TernaryForm,
-    biquadratic_to_ternary,
     compose_quartic,
     diagonal_model,
     find_conic_point,
     legendre_solvable,
     parametrize_conic,
     reduce_to_legendre,
-    substitute_into_partner,
     zero_coordinate_point,
 )
 
@@ -64,8 +62,6 @@ class PairSelection:
     zero-X0 base point, Q2 in (X0, X1, X3); var_order records which original
     space variable sits in each X slot."""
 
-    q1_name: str
-    q2_name: str
     q1: Triple
     q2: Triple
     base: Triple
@@ -102,9 +98,7 @@ def select_equation_pair(space: HomogeneousSpace) -> PairSelection:
                 q2_coeffs = _reorder_diag(q2_form, q2_vars, order[:2] + (x3_var,))
                 base_lookup = dict(zip(q1_vars, base))
                 base_reordered = tuple(base_lookup[v] for v in (zero_var, other_shared, x2_var))
-                return PairSelection(
-                    q1_name, q2_name, q1_coeffs, q2_coeffs, base_reordered, order
-                )
+                return PairSelection(q1_coeffs, q2_coeffs, base_reordered, order)
     raise ConditionFailure("no quadric has a point with a zero coordinate")
 
 
@@ -113,7 +107,7 @@ def weak_pair(space: HomogeneousSpace) -> PairSelection:
     quadric in (a, b, c) with the (a, b, d) quadric as partner."""
     q1 = _reorder_diag(space.e_d, ("a", "b", "c"), ("a", "b", "c"))
     q2 = _reorder_diag(space.e_a, ("a", "b", "d"), ("a", "b", "d"))
-    return PairSelection("e_d", "e_a", q1, q2, (0, 0, 0), ("a", "b", "c", "d"))
+    return PairSelection(q1, q2, (0, 0, 0), ("a", "b", "c", "d"))
 
 
 def solution_in_space_order(sel: PairSelection, quad: Quad) -> Quad:
@@ -256,18 +250,16 @@ class ScanRound:
     tested: int = 0
 
 
-def scan_schedule(
-    scan: ScanRound, cap: Optional[int]
-) -> Optional[tuple[int, tuple[int, int], int, int]]:
+def scan_schedule(scan: ScanRound, cap: int) -> Optional[tuple[int, tuple[int, int], int, int]]:
     """Round-robin scan of the round's sieves from its next shell up to
-    `cap` (no bound when None): shell r of sieve i follows shell r of sieves
-    0..i-1 in the enumeration.  Returns (sieve index, (s, t), sigma, pairs
-    tested from radius 1 up to the hit) for the earliest hit, or None once
-    the shells up to `cap` are exhausted.  Only a shell scanned in full
+    `cap`: shell r of sieve i follows shell r of sieves 0..i-1 in the
+    enumeration.  Returns (sieve index, (s, t), sigma, pairs tested from
+    radius 1 up to the hit) for the earliest hit, or None once the shells
+    up to `cap` are exhausted.  Only a shell scanned in full
     advances the round, so a later call with a larger cap resumes it and
     returns what one call at that cap would."""
     r, tested = scan.next_shell, scan.tested
-    while cap is None or r <= cap:
+    while r <= cap:
         size = shell_size(r)
         for si, sieve in enumerate(scan.sieves):
             hit = scan_shell(sieve, r)
@@ -332,7 +324,7 @@ class WeakSearch:
     scale: int
     scan: ScanRound
 
-    def advance(self, cap: Optional[int]) -> SearchOutcome:
+    def advance(self, cap: int) -> SearchOutcome:
         """The outcome of a fresh weak search up to radius `cap`; raises
         EffortExhausted when it has none."""
         hit = scan_schedule(self.scan, cap)
@@ -353,22 +345,17 @@ def _prepare_weak(q1: Triple, q2: Triple, base: Optional[Triple] = None) -> Weak
     return WeakSearch(phi, abs(b33), ScanRound(sieves=(sieve,)))
 
 
-def weak_solve(
-    q1: Triple,
-    q2: Triple,
-    schedule: RadiusSchedule,
-    base: Optional[Triple] = None,
-) -> SearchOutcome:
+def weak_solve(q1: Triple, q2: Triple, cap: int, base: Optional[Triple] = None) -> SearchOutcome:
     """Parametrize Q1 from any point, then scan coprime parameter pairs from
-    radius 1 up to the schedule's cap until -b33*(b00*F0^2 + b11*F1^2) is a
-    nonzero perfect square; the quadruple is (F0, F1, F2, root) cleared to
-    a primitive integer vector.
+    radius 1 up to `cap` until -b33*(b00*F0^2 + b11*F1^2) is a nonzero
+    perfect square; the quadruple is (F0, F1, F2, root) cleared to a
+    primitive integer vector.
 
     Hits whose quadruple has a zero coordinate are skipped; they correspond
     to torsion images and are useless downstream.  The outcome knows no
     space, so its selection and space solution are None.
     """
-    return _prepare_weak(q1, q2, base).advance(schedule.cap)
+    return _prepare_weak(q1, q2, base).advance(cap)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +385,12 @@ def pinned_parametrization(form: TernaryForm, base: Triple, rows) -> ConicParame
 
 
 def substituted_conic(phi: ConicParametrization, q2: Triple) -> TernaryForm:
-    """Push the parametrization through the partner and read the biquadratic
-    result as a conic in (s^2, t^2, X3)."""
-    quartic = substitute_into_partner(phi, (q2[0], 0, q2[1], q2[2]))
-    return biquadratic_to_ternary(quartic)
+    """Push the parametrization through the partner b00*X0^2 + b11*X1^2 +
+    b33*X3^2 and read the biquadratic result as a conic in (s^2, t^2, X3)."""
+    b40, b31, b22, b13, b04 = compose_quartic((q2[0], 0, q2[1]), phi)
+    if b31 != 0 or b13 != 0:
+        raise NotBiquadratic(f"odd coefficients {b31}, {b13} nonzero")
+    return TernaryForm(b40, b22, b04, q2[2])
 
 
 def parameter_kernel(psi: ConicParametrization) -> Triple:
@@ -532,7 +521,7 @@ class StrongSearch:
             return pinned_parametrization(q4, base_q4, self.pins.gamma_rows)
         return parametrize_conic(q4, base_q4)
 
-    def advance(self, cap: Optional[int]) -> SearchOutcome:
+    def advance(self, cap: int) -> SearchOutcome:
         """The outcome of a fresh final search up to radius `cap`: the
         rounds in order, each over its per-mu quartics with a shared shell
         radius.  Raises EffortExhausted when there is none."""
@@ -633,10 +622,10 @@ class PreparedSearch:
     search: StrongSearch | WeakSearch
     degenerate_kernel: Optional[str] = None   # why a strong chain fell back
 
-    def advance(self, cap: Optional[int]) -> SearchOutcome:
-        """The search's hit up to radius `cap` (no bound when None), mapped
-        to the space's variable order and checked against its four quadrics
-        here; raises EffortExhausted when there is none."""
+    def advance(self, cap: int) -> SearchOutcome:
+        """The search's hit up to radius `cap`, mapped to the space's
+        variable order and checked against its four quadrics here; raises
+        EffortExhausted when there is none."""
         outcome = self.search.advance(cap)
         solution = solution_in_space_order(self.selection, outcome.quadruple)
         if not self.space.satisfied_by(solution):
@@ -667,14 +656,11 @@ def prepare_search(space: HomogeneousSpace, pins: Optional[StagePins] = None) ->
 
 
 def strong_solve(
-    space: HomogeneousSpace,
-    schedule: Optional[RadiusSchedule] = None,
-    pins: Optional[StagePins] = None,
+    space: HomogeneousSpace, cap: int = 2000, pins: Optional[StagePins] = None
 ) -> SearchOutcome:
-    """Full staged search on a homogeneous space, from radius 1 up to the
-    schedule's cap: `prepare_search`, then one advance to that cap."""
-    schedule = schedule or RadiusSchedule(1, 2000)
-    return prepare_search(space, pins).advance(schedule.cap)
+    """Full staged search on a homogeneous space, from radius 1 up to `cap`:
+    `prepare_search`, then one advance to that cap."""
+    return prepare_search(space, pins).advance(cap)
 
 
 def back_substitute(
@@ -690,7 +676,7 @@ def back_substitute(
     verified against both renamed quadrics."""
     z = gamma(*rho)
     zvec = (z[0], z[1], z[2], sigma1)
-    y = tuple(psi.evaluate_row(i, z[0], z[1]) for i in range(3))
+    y = psi(z[0], z[1])
     if y[0] != mu * z[2] * z[2]:
         raise VerificationFailure(f"rho={rho}: psi row 0 is not mu*Z2^2")
     if y[1] != mu * sigma1 * sigma1:

@@ -17,7 +17,6 @@ from concordant.errors import (
     NoSolution,
 )
 from concordant.integers import (
-    RadiusSchedule,
     factorize,
     is_perfect_square,
     primitive_normalize,
@@ -317,7 +316,7 @@ def oracle_search_curve(curve, triplets, ladder, pins=None):
         for t in triplets:
             space = build_homogeneous_space(t, curve.m, curve.n)
             try:
-                outcome = strong_solve(space, RadiusSchedule(1, cap), pins=pins)
+                outcome = strong_solve(space, cap, pins=pins)
             except EffortExhausted as exc:
                 last = exc
                 continue

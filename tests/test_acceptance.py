@@ -33,7 +33,7 @@ from concordant.descent import (
 )
 from concordant.errors import ConditionFailure, EffortExhausted
 from concordant.fixtures import load_fixture
-from concordant.integers import RadiusSchedule, primitive_normalize, squarefree_part
+from concordant.integers import primitive_normalize, squarefree_part
 from concordant.quadforms import LegendreForm, TernaryForm, legendre_solvable, parametrize_conic
 from concordant.solver import (
     select_equation_pair,
@@ -234,7 +234,7 @@ def test_criterion_06_weak_fallback_k23():
     hs = build_homogeneous_space(t, 23, -69)
     with pytest.raises(ConditionFailure):
         select_equation_pair(hs)
-    out = strong_solve(hs, RadiusSchedule(1, 100))
+    out = strong_solve(hs, 100)
     assert out.method == "weak"
     assert tuple(abs(v) for v in out.quadruple) == (7, 5, 1, 1)
     point = lift_solution(t, 23, -69, out.space_solution)
@@ -249,7 +249,7 @@ def test_criterion_06_weak_fallback_other_members(k):
     start = time.perf_counter()
     t = DescentTriplet(2, 3, 6)
     hs = build_homogeneous_space(t, k, -3 * k)
-    out = strong_solve(hs, RadiusSchedule(1, 300))
+    out = strong_solve(hs, 300)
     point = lift_solution(t, k, -3 * k, out.space_solution)
     curve = ConcordantCurve(k, -3 * k)
     assert curve.contains(point)
@@ -419,7 +419,7 @@ def _weak_oracle_sweep(rng, systems):
         if not brute:
             continue
         try:
-            out = weak_solve((a00, a11, a22), (b00, b11, b33), RadiusSchedule(1, 400))
+            out = weak_solve((a00, a11, a22), (b00, b11, b33), 400)
         except EffortExhausted:
             continue
         canonical = tuple(abs(v) for v in out.quadruple)

@@ -301,6 +301,10 @@ class TestMalformedValues:
             ["verify", "--p", "1", "--q", "1", "--k", "5", "--quadruple", "1,2,x"],
             ["verify", "--weierstrass", "1,2", "--point", "1,2"],
             ["solve", "--p", "1", "--q", "1", "--k", "5", "--triplet", "1,x,2"],
+            ["solve", "--p", "1", "--q", "1", "--k", "5", "--radius-cap", "0"],
+            ["solve", "--p", "1", "--q", "1", "--k", "5", "--radius-cap", "-3"],
+            ["series", "--family", "cong5", "--max-k", "30", "--radius-cap", "0"],
+            ["series", "--family", "cong5", "--max-k", "30", "--radius-cap", "-3"],
         ],
     )
     def test_usage_error(self, capsys, argv):
@@ -541,6 +545,59 @@ class TestReproduceCommand:
         ref = tmp_path / "wrong.fixture"
         ref.write_text(src.replace("expect_cross_term = -9088", "expect_cross_term = -9090"))
         assert main(["reproduce", "--fixture", str(ref)]) == EXIT_MISMATCH
+
+
+class TestMalformedFixture:
+    """A fixture value of the wrong shape names its key: solve reports a
+    usage error and reproduce a mismatch, as for an invalid pin."""
+
+    SOLVE = ["solve", "--p", "1", "--q", "3", "--k", "142", "--fixture"]
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("triplet = 1,2,2", "triplet = 1,2", "triplet"),
+            ("pin_phi = 0,16,0;8,0,3;-16,0,6", "pin_phi = 1,2,3", "pin_phi"),
+            ("pin_rho = 20,3", "pin_rho = 20", "pin_rho"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv, code, prefix",
+        [
+            (SOLVE, EXIT_USAGE, "error:"),
+            (["reproduce", "--fixture"], EXIT_MISMATCH, "reproduction mismatch:"),
+        ],
+    )
+    def test_malformed_value(self, tmp_path, capsys, old, new, key, argv, code, prefix):
+        assert main([*argv, _edited_n142(tmp_path, old, new)]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(prefix)
+        assert f"{key} must be" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "old, new, key", [("k = 142", "k = 1,2", "k"), ("q = 3", "q = 3/2", "q")]
+    )
+    def test_malformed_curve_is_a_mismatch(self, tmp_path, capsys, old, new, key):
+        # only reproduce reads the curve from the fixture
+        path = _edited_n142(tmp_path, old, new)
+        assert main(["reproduce", "--fixture", path]) == EXIT_MISMATCH
+        captured = capsys.readouterr()
+        assert captured.err.startswith("reproduction mismatch:")
+        assert f"{key} must be an integer" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [SOLVE, ["reproduce", "--fixture"]])
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_path_is_a_usage_error(self, tmp_path, capsys, argv, kind):
+        path = tmp_path
+        if kind == "not utf-8":
+            path = tmp_path / "binary.fixture"
+            path.write_bytes(b"p = 1\n\xff\xfe = 2\n")
+        assert main([*argv, str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
 
 class TestFixtureParsing:

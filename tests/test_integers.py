@@ -4,8 +4,6 @@ import pytest
 
 from concordant.errors import FactorizationIncomplete, InvalidArgument
 from concordant.integers import (
-    RadiusSchedule,
-    coprime_pairs,
     factorize,
     is_perfect_square,
     is_probable_prime,
@@ -230,9 +228,14 @@ class TestCoprimePairs:
     def test_named_pair_in_its_shell(self):
         assert (20, 3) in shell_pairs(20)
 
+    @staticmethod
+    def _shells(cap):
+        return [pair for r in range(1, cap + 1) for pair in shell_pairs(r)]
+
     def test_non_coprime_never_emitted(self):
-        taken = list(coprime_pairs(RadiusSchedule(1, 8)))
+        taken = self._shells(8)
         assert (2, 4) not in taken
+        assert all(math.gcd(a, b) == 1 for a, b in taken)
 
     @pytest.mark.parametrize("cap", [3, 11, 50])
     def test_exhaustive_against_bruteforce(self, cap):
@@ -242,20 +245,16 @@ class TestCoprimePairs:
             for b in range(0, cap + 1)
             if (a, b) != (0, 0) and math.gcd(a, b) == 1 and max(abs(a), b) <= cap
         }
-        got = list(coprime_pairs(RadiusSchedule(1, cap)))
+        for r in range(1, cap + 1):
+            assert all(max(abs(a), b) == r for a, b in shell_pairs(r))
+        got = self._shells(cap)
         assert len(got) == len(set(got))
         assert set(got) == expected
 
     def test_order_is_nondecreasing_maxnorm_then_lex(self):
-        got = list(coprime_pairs(RadiusSchedule(1, 6)))
+        got = self._shells(6)
         keyed = [(max(abs(a), abs(b)), a, b) for a, b in got]
         assert keyed == sorted(keyed)
-
-    def test_schedule_validation(self):
-        with pytest.raises(InvalidArgument):
-            RadiusSchedule(0)
-        with pytest.raises(InvalidArgument):
-            RadiusSchedule(5, 4)
 
     def test_shell_size_formula(self):
         from concordant.integers import euler_phi, shell_size

@@ -29,14 +29,12 @@ from concordant.integers import primitive_normalize, squarefree_part
 from concordant.quadforms import (
     ConicParametrization,
     LegendreForm,
-    QuarticForm,
     TernaryForm,
-    biquadratic_to_ternary,
+    compose_quartic,
     find_conic_point,
     legendre_solvable,
     parametrize_conic,
     reduce_to_legendre,
-    substitute_into_partner,
     zero_coordinate_point,
 )
 
@@ -399,7 +397,7 @@ class TestParametrizeConic:
 
     def test_coverage_small(self, rng):
         # every small primitive solution appears in the sweep
-        from concordant.integers import coprime_pairs, RadiusSchedule
+        from concordant.integers import shell_pairs
 
         forms = 0
         for _ in range(100):
@@ -418,10 +416,11 @@ class TestParametrizeConic:
                 continue
             forms += 1
             found = set()
-            for s, t in coprime_pairs(RadiusSchedule(1, 900)):
-                v = param(s, t)
-                if any(v):
-                    found.add(primitive_normalize(v))
+            for r in range(1, 901):
+                for s, t in shell_pairs(r):
+                    v = param(s, t)
+                    if any(v):
+                        found.add(primitive_normalize(v))
                 if solutions <= found:
                     break
             assert solutions <= found
@@ -446,18 +445,20 @@ class TestParametrizeConic:
                 assert quadforms._parameter_shrink(rows, sq_col) == oracle_parameter_shrink(rows, sq_col)
 
 
-def _quartic_coefficients(quartic):
-    return (quartic.b40, quartic.b31, quartic.b22, quartic.b13, quartic.b04)
+# the first stage of the n = 142 chain: Q1 = 3*X0^2 - 8*X1^2 + 2*X2^2 swept
+# from (0, 1, 2), pushed through Q2 = X0^2 - 2*X1^2 - 142*X3^2
+PHI_142 = ConicParametrization(
+    ((0, 16, 0), (8, 0, 3), (-16, 0, 6)), (0, 1, 2), TernaryForm(3, 0, -8, 2)
+)
+Q2_142 = (1, -2, -142)
 
 
 class TestSubstitution:
     def test_first_stage_substitution(self):
-        phi = ConicParametrization(
-            ((0, 16, 0), (8, 0, 3), (-16, 0, 6)), (0, 1, 2), TernaryForm(3, 0, -8, 2)
-        )
-        quartic = substitute_into_partner(phi, (1, 0, -2, -142))
-        assert _quartic_coefficients(quartic) == (-64, 0, 80, 0, -9)
-        assert quartic.b33 == -71
+        quartic = compose_quartic((Q2_142[0], 0, Q2_142[1]), PHI_142)
+        # the published quartic, before the content 2 it shares with -142 is
+        # divided out
+        assert quartic == tuple(2 * c for c in (-64, 0, 80, 0, -9))
 
     def test_corollary_kills_odd_coefficients(self, rng):
         # diagonal pair + zero-coordinate base point => biquadratic
@@ -467,9 +468,8 @@ class TestSubstitution:
             if zero is None:
                 continue
             param = parametrize_conic(form, zero)
-            b = (rng.randint(-9, 9), 0, rng.randint(-9, 9), rng.choice([-5, -3, 3, 5]))
-            quartic = substitute_into_partner(param, b)
-            assert quartic.b31 == 0 and quartic.b13 == 0
+            quartic = compose_quartic((rng.randint(-9, 9), 0, rng.randint(-9, 9)), param)
+            assert quartic[1] == 0 and quartic[3] == 0
 
     def test_third_stage_substitution_is_proportional_to_published(self):
         gamma = ConicParametrization(
@@ -477,12 +477,9 @@ class TestSubstitution:
             (4, 1, 4),
             TernaryForm(-90, 81, -20, 71),
         )
-        quartic = substitute_into_partner(gamma, (-719, 640, -144, 71))
         published = (-9159, 359260, -5176610, 32218380, -73204479)
-        # the raw substitution carries content 71; the normalized form is
-        # proportional to the published coefficients
-        assert tuple(71 * c for c in _quartic_coefficients(quartic)) == published
-        assert quartic.b33 * 71 == 71
+        # the raw composition: its content 71 is shared with b33 = 71
+        assert compose_quartic((-719, 640, -144), gamma) == published
 
     def test_substitution_matches_expansion_oracle(self, rng):
         # independent oracle: expand b00*F0^2 + b01*F0*F1 + b11*F1^2 by
@@ -501,7 +498,6 @@ class TestSubstitution:
                 tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3)
             )
             b00, b01, b11 = (rng.randint(-9, 9) for _ in range(3))
-            b33 = rng.choice([-7, -2, 2, 7])
             expected = [0] * 5
             for coef, prod in (
                 (b00, binary_mul(rows[0], rows[0])),
@@ -510,29 +506,23 @@ class TestSubstitution:
             ):
                 for i in range(5):
                     expected[i] += coef * prod[i]
-            if not any(expected):
-                continue
-            g = 0
-            for v in expected + [b33]:
-                g = math.gcd(g, v)
             param = ConicParametrization.__new__(ConicParametrization)
             object.__setattr__(param, "rows", rows)
             object.__setattr__(param, "base_point", (0, 0, 1))
             object.__setattr__(param, "source", None)
-            quartic = substitute_into_partner(param, (b00, b01, b11, b33))
-            assert _quartic_coefficients(quartic) == tuple(v // g for v in expected)
-            assert quartic.b33 == b33 // g
+            assert compose_quartic((b00, b01, b11), param) == tuple(expected)
 
 
 class TestBiquadratic:
     def test_published_reduction(self):
-        q = QuarticForm(-128, 0, 160, 0, -18, -142)
-        assert biquadratic_to_ternary(q).coefficients == (-64, 80, -9, -71)
+        assert solver.substituted_conic(PHI_142, Q2_142).coefficients == (-64, 80, -9, -71)
 
     def test_rejects_odd_terms(self):
+        # a base point with no zero coordinate leaves the odd coefficients
+        phi = parametrize_conic(TernaryForm(1, 0, -2, 1), (1, 1, 1))
         with pytest.raises(NotBiquadratic):
-            biquadratic_to_ternary(QuarticForm(1, 1, 0, 0, -1, 5))
+            solver.substituted_conic(phi, (2, -3, -23))
 
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateForm):
-            biquadratic_to_ternary(QuarticForm(1, 0, 0, 0, -1, 0))
+            solver.substituted_conic(PHI_142, (1, -2, 0))

@@ -12,7 +12,6 @@ from concordant import cli
 from concordant.curves import ConcordantCurve
 from concordant.descent import DescentTriplet, build_homogeneous_space, classify
 from concordant.errors import ConcordantError, DegenerateKernel, EffortExhausted
-from concordant.integers import RadiusSchedule
 from concordant.solver import StagePins, prepare_search, strong_solve
 
 # n = 142, class (1, 2, 2): the published chain
@@ -33,7 +32,7 @@ def _result(run):
 
 
 def _fresh(space, cap, pins=None):
-    return _result(lambda: strong_solve(space, RadiusSchedule(1, cap), pins=pins))
+    return _result(lambda: strong_solve(space, cap, pins=pins))
 
 
 def assert_resumes_like_fresh(space, caps, pins=None):
@@ -151,7 +150,7 @@ class TestSearchCurve:
     def test_pickled_search_resumes(self):
         # k = 127: every class exhausts at 100; this one hits at radius 375
         space = _space(1, 1, 127, (1, -127, -127))
-        fresh = strong_solve(space, RadiusSchedule(1, 500))
+        fresh = strong_solve(space, 500)
         search = prepare_search(space)
         with pytest.raises(EffortExhausted):
             search.advance(100)

@@ -14,7 +14,6 @@ from concordant.errors import (
     VerificationFailure,
 )
 from concordant.integers import (
-    RadiusSchedule,
     is_perfect_square,
     primitive_normalize,
     shell_pairs,
@@ -81,7 +80,7 @@ class TestWeakSolve:
     def test_published_fallback(self):
         hs = build_homogeneous_space(DescentTriplet(2, 3, 6), 23, -69)
         sel = weak_pair(hs)
-        out = weak_solve(sel.q1, sel.q2, RadiusSchedule(1, 50), base=(1, 1, 1))
+        out = weak_solve(sel.q1, sel.q2, 50, base=(1, 1, 1))
         assert tuple(abs(v) for v in out.quadruple) == (7, 5, 1, 1)
         point = lift_solution(
             DescentTriplet(2, 3, 6), 23, -69, solution_in_space_order(sel, out.quadruple)
@@ -91,7 +90,7 @@ class TestWeakSolve:
     def test_other_members_of_family(self):
         for k in (47, 71, 167):
             hs = build_homogeneous_space(DescentTriplet(2, 3, 6), k, -3 * k)
-            out = strong_solve(hs, RadiusSchedule(1, 300))
+            out = strong_solve(hs, 300)
             assert out.method == "weak"
             c = ConcordantCurve(k, -3 * k)
             point = lift_solution(DescentTriplet(2, 3, 6), k, -3 * k, out.space_solution)
@@ -100,7 +99,7 @@ class TestWeakSolve:
     def test_height_ratio_diagnostic(self):
         hs = build_homogeneous_space(DescentTriplet(2, 3, 6), 23, -69)
         sel = weak_pair(hs)
-        out = weak_solve(sel.q1, sel.q2, RadiusSchedule(1, 50), base=(1, 1, 1))
+        out = weak_solve(sel.q1, sel.q2, 50, base=(1, 1, 1))
         # the reported heights are read off the typed hit
         assert (out.parameter, out.pairs_tested) == ((-1, 1), 2)
         assert log_height(out.parameter) == 0.0
@@ -111,7 +110,7 @@ class TestWeakSolve:
         hs = build_homogeneous_space(DescentTriplet(1, 2, 2), 142, -426)
         sel = weak_pair(hs)
         with pytest.raises(EffortExhausted):
-            weak_solve(sel.q1, sel.q2, RadiusSchedule(1, 3))
+            weak_solve(sel.q1, sel.q2, 3)
 
     def test_oracle_equivalence_sample(self, rng):
         _weak_matches_bruteforce(rng, systems=6)
@@ -155,7 +154,7 @@ def _weak_matches_bruteforce(rng, systems):
         if not brute:
             continue
         try:
-            out = weak_solve((a00, a11, a22), (b00, b11, b33), RadiusSchedule(1, 400))
+            out = weak_solve((a00, a11, a22), (b00, b11, b33), 400)
         except EffortExhausted:
             continue
         canonical = tuple(abs(v) for v in out.quadruple)
@@ -249,7 +248,7 @@ class TestFinalLoop:
             mu=-1,
         )
         with pytest.raises(EffortExhausted):
-            strong_solve(hs, RadiusSchedule(1, 200), pins=pins)
+            strong_solve(hs, 200, pins=pins)
 
     def test_pinned_chain_end_to_end(self):
         hs = build_homogeneous_space(DescentTriplet(1, 2, 2), 142, -426)
@@ -263,7 +262,7 @@ class TestFinalLoop:
             gamma_rows=GAMMA_142,
             rho=(20, 3),
         )
-        out = strong_solve(hs, RadiusSchedule(1, 500), pins=pins)
+        out = strong_solve(hs, 500, pins=pins)
         assert out.quadruple == (2352960, 1604507, -1411786, -52241)
         assert (out.parameter, out.pairs_tested) == ((20, 3), 1)
         st = out.chain
@@ -277,7 +276,7 @@ class TestFinalLoop:
 class TestStrongSolve:
     def test_free_choice_n142(self):
         hs = build_homogeneous_space(DescentTriplet(1, 2, 2), 142, -426)
-        out = strong_solve(hs, RadiusSchedule(1, 500))
+        out = strong_solve(hs, 500)
         solution = out.space_solution
         assert hs.satisfied_by(solution)
         point = lift_solution(DescentTriplet(1, 2, 2), 142, -426, solution)
@@ -287,18 +286,18 @@ class TestStrongSolve:
 
     def test_stage_identities_hold(self):
         hs = build_homogeneous_space(DescentTriplet(1, 2, 2), 142, -426)
-        out = strong_solve(hs, RadiusSchedule(1, 500))
+        out = strong_solve(hs, 500)
         st = out.chain
         assert st.phi.is_valid()
         assert st.psi.is_valid()
         assert st.gamma.is_valid()
         z = st.z_values
-        assert st.psi.evaluate_row(0, z[0], z[1]) == st.mu * z[2] * z[2]
-        assert st.psi.evaluate_row(1, z[0], z[1]) == st.mu * z[3] * z[3]
+        assert st.psi(z[0], z[1])[0] == st.mu * z[2] * z[2]
+        assert st.psi(z[0], z[1])[1] == st.mu * z[3] * z[3]
 
     def test_falls_back_to_weak(self):
         hs = build_homogeneous_space(DescentTriplet(2, 3, 6), 23, -69)
-        out = strong_solve(hs, RadiusSchedule(1, 100))
+        out = strong_solve(hs, 100)
         assert out.method == "weak"
         assert tuple(abs(v) for v in out.quadruple) == (7, 5, 1, 1)
         # no quadric has a zero-coordinate point: the kernel was never reached
@@ -307,7 +306,7 @@ class TestStrongSolve:
     def test_mu_override_validated(self):
         hs = build_homogeneous_space(DescentTriplet(1, 2, 2), 142, -426)
         with pytest.raises(InvalidArgument):
-            strong_solve(hs, RadiusSchedule(1, 50), pins=StagePins(mu=17))
+            strong_solve(hs, 50, pins=StagePins(mu=17))
 
     def test_solution_satisfies_all_four_quadrics(self):
         for t, m, n in [
@@ -315,13 +314,13 @@ class TestStrongSolve:
             (DescentTriplet(1, 2, 2), 14, -42),
         ]:
             hs = build_homogeneous_space(t, m, n)
-            out = strong_solve(hs, RadiusSchedule(1, 300))
+            out = strong_solve(hs, 300)
             assert hs.satisfied_by(out.space_solution)
 
     def test_descent_consistency_of_lift(self):
         t = DescentTriplet(1, 2, 2)
         hs = build_homogeneous_space(t, 14, -42)
-        out = strong_solve(hs, RadiusSchedule(1, 300))
+        out = strong_solve(hs, 300)
         point = lift_solution(t, 14, -42, out.space_solution)
         assert ConcordantCurve(14, -42).square_classes(point) == t.as_tuple()
 
@@ -331,7 +330,7 @@ class TestStrongSolve:
 
         monkeypatch.setattr(concordant.solver, "parameter_kernel", degenerate)
         hs = build_homogeneous_space(DescentTriplet(1, 2, 2), 14, -42)
-        out = strong_solve(hs, RadiusSchedule(1, 300))
+        out = strong_solve(hs, 300)
         assert (out.method, out.pairs_tested) == ("weak", 2)
         assert out.degenerate_kernel == "pure-square columns are linearly dependent"
         assert out.chain is None
@@ -348,10 +347,10 @@ class TestStrongSolve:
             return (b, a, d, c)
 
         hs = build_homogeneous_space(DescentTriplet(*triplet), m, n)
-        assert strong_solve(hs, RadiusSchedule(1, 300)).method == method
+        assert strong_solve(hs, 300).method == method
         monkeypatch.setattr(concordant.solver, "solution_in_space_order", permuted)
         with pytest.raises(VerificationFailure, match=f"{method} result does not satisfy"):
-            strong_solve(hs, RadiusSchedule(1, 300))
+            strong_solve(hs, 300)
 
     def test_pinned_parametrization_validation(self):
         q1 = TernaryForm(3, 0, -8, 2)
@@ -435,7 +434,7 @@ class TestScanKernel:
             _, (s, t), root, tested = scan_schedule(scan, 5)
             found.append((primitive_normalize(phi(s, t) + (root,)), tested))
         assert found == [((1, 0, 1, 1), 1), ((3, 4, 5, 5), 6)]
-        out = weak_solve(q, q, RadiusSchedule(1, 5))
+        out = weak_solve(q, q, 5)
         assert (out.quadruple, out.pairs_tested) == ((3, 4, 5, 5), 6)
 
     def test_square_value_is_never_sieved_out(self):
