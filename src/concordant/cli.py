@@ -135,6 +135,13 @@ _PIN_KEYS = {
 
 
 def pins_from_fixture(fixture: Fixture) -> StagePins:
+    """The stage choices a fixture pins.  Every key of the fixture must be
+    one that a replay reads: a misspelled pin or expectation would
+    otherwise be skipped without a word."""
+    unknown = sorted(set(fixture.values) - _FIXTURE_KEYS)
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise InvalidArgument(f"fixture {fixture.name}: unknown key {names}")
     return StagePins(
         **{
             field: _fixture_value(fixture, key, shape)
@@ -657,9 +664,16 @@ _STAGES = (
 )
 
 
+# every key a fixture may hold: the curve, the class, the pins and the
+# expectations
+_FIXTURE_KEYS = {"p", "q", "k", "triplet", "expect_condition_failure", *_PIN_KEYS}
+_FIXTURE_KEYS |= {key for _, key, _ in _STAGES} | {f"expect_space_e_{v}" for v in "abcd"}
+
+
 def run_reproduce(fixture: Fixture) -> dict:
     """The production solve of the fixture's class with every choice the
     fixture pins, compared stage by stage with its recorded values."""
+    pins = pins_from_fixture(fixture)
     p, q, k = (_fixture_value(fixture, key, ()) for key in "pqk")
     curve = ConcordantCurve.from_pqk(p, q, k)
     m, n = curve.m, curve.n
@@ -678,7 +692,7 @@ def run_reproduce(fixture: Fixture) -> dict:
         if key in fixture:
             _expect(f"space:{name}", tuple(fixture[key]), form.diagonal(), diffs)
 
-    _, outcome, point = search_curve(curve, [t], [200], pins_from_fixture(fixture))
+    _, outcome, point = search_curve(curve, [t], [200], pins)
     # a fixture that pins the first parametrization records a strong chain
     strong = "pin_phi" in fixture
     method = "strong" if strong else "weak"
@@ -823,8 +837,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        if args.command in ("solve", "series") and args.radius_cap < 1:
-            raise InvalidArgument(f"--radius-cap must be at least 1, got {args.radius_cap}")
+        if args.command in ("solve", "series"):
+            if args.radius_cap < 1:
+                raise InvalidArgument(f"--radius-cap must be at least 1, got {args.radius_cap}")
+            if args.workers < 1:
+                raise InvalidArgument(f"--workers must be at least 1, got {args.workers}")
         if args.command == "classify":
             p, q, k = _curve_only(args).pqk()
             report = run_classify(p, q, k)

@@ -18,6 +18,17 @@ from .errors import InvalidArgument, NotNormalized, VerificationFailure
 from .integers import primitive_normalize, squarefree_part
 
 
+# the largest torsion order of a rational point on a rational elliptic
+# curve (Mazur)
+_MAZUR_BOUND = 12
+
+
+def class_of(value) -> int:
+    """Squarefree representative of a nonzero rational's square class."""
+    f = Fraction(value)
+    return squarefree_part(f.numerator * f.denominator)[0]
+
+
 @dataclass(frozen=True)
 class CurvePoint:
     """Affine (x, y) with exact rational coordinates, or the point at infinity."""
@@ -156,7 +167,7 @@ class ConcordantCurve:
             CurvePoint.affine(-self.n, 0),
         )
 
-    def is_torsion(self, p: CurvePoint, max_order: int = 12) -> bool:
+    def is_torsion(self, p: CurvePoint) -> bool:
         """Exact torsion test for a point on the curve (InvalidArgument if it
         is not on it).
 
@@ -166,14 +177,14 @@ class ConcordantCurve:
         whose x has a denominator is non-torsion.  For an integral point the
         test falls back to the group law: the torsion order of a rational
         point on a rational elliptic curve is at most 12 (Mazur), so p is
-        torsion iff some multiple k*p with k <= max_order is the identity."""
+        torsion iff some multiple k*p with k <= 12 is the identity."""
         self._require(p)
         if p.is_infinity:
             return True
         if p.x.denominator != 1:
             return False
         acc = p
-        for _ in range(max_order - 1):
+        for _ in range(_MAZUR_BOUND - 1):
             acc = self._add_unchecked(acc, p)
             if acc.is_infinity:
                 return True
@@ -252,16 +263,12 @@ class ConcordantCurve:
         """Square classes of (x+m, x, x+n); at 2-torsion and infinity the
         descent-map values replace the vanishing factor."""
         m, n = self.m, self.n
-
-        def cls(f: Fraction) -> int:
-            return squarefree_part(f.numerator * f.denominator)[0]
-
         if p.is_infinity:
             return (1, 1, 1)
         vals = []
         for e, other1, other2 in ((-m, 0, -n), (0, -m, -n), (-n, 0, -m)):
             if p.x == e:
-                vals.append(cls(Fraction(e - other1) * Fraction(e - other2)))
+                vals.append(class_of((e - other1) * (e - other2)))
             else:
-                vals.append(cls(p.x - e))
+                vals.append(class_of(p.x - e))
         return tuple(vals)

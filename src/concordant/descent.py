@@ -15,22 +15,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import ConcordantCurve, CurvePoint
+from .curves import ConcordantCurve, CurvePoint, class_of
 from .errors import DegenerateForm, InvalidArgument, VerificationFailure
 from .integers import factorize, is_perfect_square, primitive_normalize, squarefree_part
-from .quadforms import TernaryForm
+from .quadforms import TernaryForm, reduced_parities
 
 
 def class_mul(u: int, v: int) -> int:
     """Product of two square classes (squarefree representatives)."""
     g = math.gcd(u, v)
     return (u // g) * (v // g)
-
-
-def class_of(value) -> int:
-    """Squarefree representative of a nonzero rational's square class."""
-    f = Fraction(value)
-    return squarefree_part(f.numerator * f.denominator)[0]
 
 
 @dataclass(frozen=True, order=True)
@@ -288,7 +282,10 @@ class SolvabilityTable(SquareClasses):
         return True
 
     def verdict(self, t: DescentTriplet) -> tuple[bool, str]:
-        """(verdict, evidence) for one triplet, as in `triplet_solvable`."""
+        """(verdict, evidence) for one triplet, as in `triplet_solvable`.
+        Each quadric is reduced on its parity bitmasks through
+        `reduced_parities`, as `reduce_to_legendre` reduces it: a prime in
+        one coefficient stays, a prime in two moves to the third."""
         va, vb, vc = self.vector(t.a), self.vector(t.b), self.vector(t.c)
         vm, vn, vd, neg = self._m, self._n, self._d, self._neg
         # build_homogeneous_space's coefficients, in HomogeneousSpace.quadrics order
@@ -303,15 +300,10 @@ class SolvabilityTable(SquareClasses):
             if x & neg:
                 # primitive_normalize: the first coefficient turns positive
                 x, y, z = x ^ neg, y ^ neg, z ^ neg
-            # a prime in one coefficient stays, in two moves to the third,
-            # in three drops out: the parities reduce_to_legendre leaves.
-            # Dividing out content only complements a prime's pattern, which
-            # leaves this unchanged.
-            x, y, z = (
-                (x ^ y) & (x ^ z) & prime_bits | x & neg,
-                (y ^ x) & (y ^ z) & prime_bits | y & neg,
-                (z ^ x) & (z ^ y) & prime_bits | z & neg,
-            )
+            # dividing out content only complements a prime's pattern, which
+            # the rule maps to the same parities, so it needs no step here
+            rx, ry, rz = reduced_parities(x & prime_bits, y & prime_bits, z & prime_bits)
+            x, y, z = rx | x & neg, ry | y & neg, rz | z & neg
             if not self._passes(x, y, z):
                 reduced = (self.value(x), self.value(y), self.value(z))
                 return False, f"{name} reduces to {reduced}: criterion fails"

@@ -203,8 +203,9 @@ class Factorization:
 def factorize(n: int, budget: int = 1_000_000) -> Factorization:
     """Complete factorization of n != 0.
 
-    Trial division through a smallest-prime-factor table, then Miller-Rabin +
-    Brent rho on whatever is left.  `budget` caps the total rho iterations;
+    Trial division by 2, 3, 5 and a wheel over 30, the smallest-prime-factor
+    table for every cofactor below its limit, and Miller-Rabin + Brent rho
+    for the rest.  `budget` caps the total rho iterations;
     exceeding it with a composite cofactor raises FactorizationIncomplete
     rather than silently treating the cofactor as prime.
     """
@@ -214,57 +215,49 @@ def factorize(n: int, budget: int = 1_000_000) -> Factorization:
     m = abs(n)
     counts: dict[int, int] = {}
 
-    def _add(p, e=1):
-        counts[p] = counts.get(p, 0) + e
+    def _add(p):
+        counts[p] = counts.get(p, 0) + 1
 
-    if m < _SPF_LIMIT:
-        table = _spf()
-        while m > 1:
-            p = table[m]
+    for p in (2, 3, 5):
+        while m % p == 0:
             _add(p)
             m //= p
-    else:
-        for p in (2, 3, 5):
-            while m % p == 0:
+    # wheel over 30 for the small range; a prime or table-sized cofactor
+    # ends it, so a prime cofactor does not run the whole wheel
+    k, wheel = 7, (4, 2, 4, 2, 4, 6, 2, 6)
+    i = 0
+    done = m < _SPF_LIMIT or is_probable_prime(m)
+    while not done and k * k <= m and k < 1 << 16:
+        if m % k == 0:
+            while m % k == 0:
+                _add(k)
+                m //= k
+            done = m < _SPF_LIMIT or is_probable_prime(m)
+        k += wheel[i]
+        i = (i + 1) % 8
+    stack = [m]
+    while stack:
+        v = stack.pop()
+        if v < _SPF_LIMIT:
+            # the one place that walks the smallest-prime-factor table
+            table = _spf()
+            while v > 1:
+                p = table[v]
                 _add(p)
-                m //= p
-        # wheel over 30 for the small range; a prime or table-sized cofactor
-        # ends it, so a prime cofactor does not run the whole wheel
-        k, wheel = 7, (4, 2, 4, 2, 4, 6, 2, 6)
-        i = 0
-        done = m < _SPF_LIMIT or is_probable_prime(m)
-        while not done and k * k <= m and k < 1 << 16:
-            if m % k == 0:
-                while m % k == 0:
-                    _add(k)
-                    m //= k
-                done = m < _SPF_LIMIT or is_probable_prime(m)
-            k += wheel[i]
-            i = (i + 1) % 8
-        stack = [m] if m > 1 else []
-        while stack:
-            v = stack.pop()
-            if v == 1:
-                continue
-            if v < _SPF_LIMIT:
-                table = _spf()
-                while v > 1:
-                    p = table[v]
-                    _add(p)
-                    v //= p
-                continue
-            if is_probable_prime(v):
-                _add(v)
-                continue
-            root = is_perfect_square(v)
-            if root is not None:
-                stack.extend((root, root))
-                continue
-            d = _brent_rho(v, budget)
-            if d is None or d in (1, v):
-                partial = Factorization(sign, tuple(sorted(counts.items())))
-                raise FactorizationIncomplete(n, partial, v)
-            stack.extend((d, v // d))
+                v //= p
+            continue
+        if is_probable_prime(v):
+            _add(v)
+            continue
+        root = is_perfect_square(v)
+        if root is not None:
+            stack.extend((root, root))
+            continue
+        d = _brent_rho(v, budget)
+        if d is None or d in (1, v):
+            partial = Factorization(sign, tuple(sorted(counts.items())))
+            raise FactorizationIncomplete(n, partial, v)
+        stack.extend((d, v // d))
     return Factorization(sign, tuple(sorted(counts.items())))
 
 
@@ -301,26 +294,13 @@ def squarefree_part(n: int) -> tuple[int, int]:
     """Split n != 0 as s * r^2 with s squarefree and sign(s) = sign(n)."""
     if n == 0:
         raise InvalidArgument("0 has no squarefree decomposition")
-    sign = 1 if n > 0 else -1
-    m = abs(n)
-    s, r = 1, 1
-    if m < _SPF_LIMIT:
-        table = _spf()
-        while m > 1:
-            p = table[m]
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e & 1:
-                s *= p
-            r *= p ** (e // 2)
-    else:
-        for p, e in factorize(n).factors:
-            if e & 1:
-                s *= p
-            r *= p ** (e // 2)
-    return sign * s, r
+    f = factorize(n)
+    s, r = f.sign, 1
+    for p, e in f.factors:
+        if e & 1:
+            s *= p
+        r *= p ** (e // 2)
+    return s, r
 
 
 # ---------------------------------------------------------------------------

@@ -88,43 +88,43 @@ class LegendreForm:
         return primitive_normalize((point[0] * r1 * r2, point[1] * r0 * r2, point[2] * r0 * r1))
 
 
+def reduced_parities(x: int, y: int, z: int) -> Triple:
+    """The Legendre reduction rule on exponent parities: a prime in one
+    coefficient stays, a prime in two moves to the third, and a prime in all
+    three drops out.  x, y and z are 0/1 parities of one prime, or bitmasks
+    holding one prime per bit."""
+    return ((x ^ y) & (x ^ z), (y ^ x) & (y ^ z), (z ^ x) & (z ^ y))
+
+
 def reduce_to_legendre(form: TernaryForm) -> LegendreForm:
     """Rewrite a diagonal form so the three coefficients are squarefree and
-    pairwise coprime.  |abc| strictly decreases at every rewrite, so this
-    terminates.  Every rewrite substitutes X_i -> r*X_i for one or two
-    coordinates, so the back map is three integer divisors, kept in `scales`."""
-    if not form.is_diagonal:
-        raise InvalidArgument("reduce_to_legendre needs a diagonal form")
-    coeffs = list(form.diagonal())
-    if any(c == 0 for c in coeffs):
-        raise InvalidArgument("zero diagonal coefficient")
+    pairwise coprime, in one pass: each coefficient is factored once, the
+    square parts go into the scales, and `reduced_parities` applies the
+    rule to the odd exponents, one prime per bit: a prime in one coefficient
+    stays, a prime in two moves to the third (Cremona & Rusin, Math. Comp.
+    72, 2003).  A TernaryForm has no content and, when diagonal, no zero
+    coefficient, so no prime is in all three.  Every step substitutes
+    X_i -> p*X_i, so the back map is three integer divisors, kept in
+    `scales`."""
+    factored = [factorize(c) for c in form.diagonal()]
+    reduced = [f.sign for f in factored]
     scales = [1, 1, 1]
-    while True:
-        g = vector_content(coeffs)
-        if g > 1:
-            coeffs = [c // g for c in coeffs]
-            continue
-        changed = False
+    # odd[i] has the bit of each prime with an odd exponent in coefficient i
+    odd, bits = [0, 0, 0], {}
+    for i, f in enumerate(factored):
+        for p, e in f.factors:
+            scales[i] *= p ** (e // 2)
+            if e & 1:
+                odd[i] |= bits.setdefault(p, 1 << len(bits))
+    kept = reduced_parities(*odd)
+    for p, bit in bits.items():
         for i in range(3):
-            s, r = squarefree_part(coeffs[i])
-            if r > 1:
-                coeffs[i] = s
-                scales[i] *= r
-                changed = True
-        if changed:
-            continue
-        shared = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if math.gcd(coeffs[i], coeffs[j]) > 1]
-        if not shared:
-            break
-        i, j = shared[0]
-        p = factorize(math.gcd(coeffs[i], coeffs[j])).factors[0][0]
-        coeffs[i] //= p
-        coeffs[j] //= p
-        coeffs[3 - i - j] *= p
-        scales[i] *= p
-        scales[j] *= p
-    a, b, c = coeffs
-    return LegendreForm(a, b, c, tuple(scales))
+            if kept[i] & bit:
+                reduced[i] *= p
+            elif odd[i] & bit:
+                # p moves away from coefficient i: X_i -> p*X_i
+                scales[i] *= p
+    return LegendreForm(*reduced, tuple(scales))
 
 
 def _local_squares(form: LegendreForm) -> Optional[list[tuple[int, int, int]]]:
@@ -431,17 +431,9 @@ class ConicParametrization:
         """Coefficients of source(row0, row1, row2) as a quartic in (s, t);
         all five vanish exactly when this is a genuine parametrization."""
         f = self.source
-        acc = [0] * 5
-        for coef, r in ((f.a00, 0), (f.a11, 1), (f.a22, 2)):
-            if coef:
-                prod = _binary_mul(self.rows[r], self.rows[r])
-                for i in range(5):
-                    acc[i] += coef * prod[i]
-        if f.a01:
-            prod = _binary_mul(self.rows[0], self.rows[1])
-            for i in range(5):
-                acc[i] += f.a01 * prod[i]
-        return tuple(acc)
+        quartic = compose_quartic((f.a00, f.a01, f.a11), self)
+        last = _binary_mul(self.rows[2], self.rows[2])
+        return tuple(c + f.a22 * v for c, v in zip(quartic, last))
 
     def is_valid(self) -> bool:
         return all(c == 0 for c in self.composed_with_source())

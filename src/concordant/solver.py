@@ -459,27 +459,20 @@ def _coprime_pattern_ok(psi: ConicParametrization, mu: int) -> bool:
     """Necessary local conditions for row_i(n0, n1) = mu*s^2 to have integer
     solutions with n0, n1 coprime to mu: each odd prime of mu must divide
     some row value at unit coordinates, and for even mu the congruence must
-    already close modulo 16."""
+    already close modulo 16.  A row is a binary quadratic, so row(a, b) =
+    b^2 * row(a/b, 1) for a unit b, and the test runs on x = a/b alone:
+    modulo 16 the squares of units are 1 and 9, and the targets mu*s^2 are
+    closed under multiplication by 9."""
     if abs(mu) == 1:
         return True
     for p in factorize(abs(mu)).primes():
-        for i in (0, 1):
-            r = psi.rows[i]
-            if p == 2:
-                targets = {(mu * s * s) % 16 for s in range(16)}
-                if not any(
-                    (r[0] * a * a + r[1] * a * b + r[2] * b * b) % 16 in targets
-                    for a in range(1, 16, 2)
-                    for b in range(1, 16, 2)
-                ):
-                    return False
-            else:
-                if not any(
-                    (r[0] * a * a + r[1] * a * b + r[2] * b * b) % p == 0
-                    for a in range(1, p)
-                    for b in range(1, p)
-                ):
-                    return False
+        if p == 2:
+            modulus, xs, targets = 16, range(1, 16, 2), {mu * s * s % 16 for s in range(16)}
+        else:
+            modulus, xs, targets = p, range(1, p), {0}
+        for r in psi.rows[:2]:
+            if not any((r[0] * x * x + r[1] * x + r[2]) % modulus in targets for x in xs):
+                return False
     return True
 
 

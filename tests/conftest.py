@@ -327,6 +327,33 @@ def oracle_search_curve(curve, triplets, ladder, pins=None):
     raise last
 
 
+def oracle_coprime_pattern_ok(psi, mu: int) -> bool:
+    """The square-factor pattern test on unit pairs: at each odd prime p of
+    mu, both rows must vanish mod p at some (a, b) with a, b prime to p; for
+    even mu, both rows must take a value mu*s^2 mod 16 at odd (a, b)."""
+    if abs(mu) == 1:
+        return True
+    for p in factorize(abs(mu)).primes():
+        for i in (0, 1):
+            r = psi.rows[i]
+            if p == 2:
+                targets = {(mu * s * s) % 16 for s in range(16)}
+                if not any(
+                    (r[0] * a * a + r[1] * a * b + r[2] * b * b) % 16 in targets
+                    for a in range(1, 16, 2)
+                    for b in range(1, 16, 2)
+                ):
+                    return False
+            else:
+                if not any(
+                    (r[0] * a * a + r[1] * a * b + r[2] * b * b) % p == 0
+                    for a in range(1, p)
+                    for b in range(1, p)
+                ):
+                    return False
+    return True
+
+
 def oracle_triplet_solvable(t, m: int, n: int) -> tuple[bool, str]:
     """The per-triplet filter the Legendre-symbol table replaced: build the
     four quadrics, reduce each and apply the criterion to the reduced form."""

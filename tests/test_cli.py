@@ -305,6 +305,9 @@ class TestMalformedValues:
             ["solve", "--p", "1", "--q", "1", "--k", "5", "--radius-cap", "-3"],
             ["series", "--family", "cong5", "--max-k", "30", "--radius-cap", "0"],
             ["series", "--family", "cong5", "--max-k", "30", "--radius-cap", "-3"],
+            # rejected before any worker process is started
+            ["solve", "--p", "1", "--q", "1", "--k", "5", "--workers", "0"],
+            ["series", "--family", "cong5", "--max-k", "30", "--workers", "-1"],
         ],
     )
     def test_usage_error(self, capsys, argv):
@@ -548,10 +551,15 @@ class TestReproduceCommand:
 
 
 class TestMalformedFixture:
-    """A fixture value of the wrong shape names its key: solve reports a
-    usage error and reproduce a mismatch, as for an invalid pin."""
+    """A fixture value of the wrong shape, or a key no replay reads, is named:
+    solve reports a usage error and reproduce a mismatch, as for an invalid
+    pin."""
 
     SOLVE = ["solve", "--p", "1", "--q", "3", "--k", "142", "--fixture"]
+    ENTRY_POINTS = [
+        (SOLVE, EXIT_USAGE, "error:"),
+        (["reproduce", "--fixture"], EXIT_MISMATCH, "reproduction mismatch:"),
+    ]
 
     @pytest.mark.parametrize(
         "old, new, key",
@@ -561,13 +569,7 @@ class TestMalformedFixture:
             ("pin_rho = 20,3", "pin_rho = 20", "pin_rho"),
         ],
     )
-    @pytest.mark.parametrize(
-        "argv, code, prefix",
-        [
-            (SOLVE, EXIT_USAGE, "error:"),
-            (["reproduce", "--fixture"], EXIT_MISMATCH, "reproduction mismatch:"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, code, prefix", ENTRY_POINTS)
     def test_malformed_value(self, tmp_path, capsys, old, new, key, argv, code, prefix):
         assert main([*argv, _edited_n142(tmp_path, old, new)]) == code
         captured = capsys.readouterr()
@@ -585,6 +587,22 @@ class TestMalformedFixture:
         captured = capsys.readouterr()
         assert captured.err.startswith("reproduction mismatch:")
         assert f"{key} must be an integer" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("expect_cross_term = -9088", "expect_crossterm = -9090", "expect_crossterm"),
+            ("pin_rho = 20,3", "pin_rho = 20,3\npin_sigma = 3", "pin_sigma"),
+        ],
+    )
+    @pytest.mark.parametrize("argv, code, prefix", ENTRY_POINTS)
+    def test_unknown_key_is_named(self, tmp_path, capsys, old, new, key, argv, code, prefix):
+        # a misspelled key would otherwise never be compared or pinned
+        assert main([*argv, _edited_n142(tmp_path, old, new)]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(prefix)
+        assert f"unknown key {key!r}" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [SOLVE, ["reproduce", "--fixture"]])

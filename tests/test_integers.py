@@ -20,6 +20,13 @@ class TestSquarefreePart:
         assert squarefree_part(-9088) == (-142, 8)
         assert squarefree_part(1) == (1, 1)
         assert squarefree_part(-1) == (-1, 1)
+        # either side of the factor table's limit 2^20, and primes above
+        # 2^16 that only Brent rho splits
+        assert squarefree_part(2**20 - 1) == (3 * 11 * 31 * 41, 5)
+        assert squarefree_part(-(2**20)) == (-1, 2**10)
+        assert squarefree_part(2**20 + 1) == (2**20 + 1, 1)
+        assert squarefree_part(-65537 * 65539) == (-65537 * 65539, 1)
+        assert squarefree_part(65537**2 * 65539) == (65539, 65537)
 
     def test_zero_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -64,19 +71,22 @@ class TestFactorize:
         assert f.factors == ((2, 1), (71, 1))
 
     def test_trial_division_oracle(self):
-        # independent trial-division factorization of the quartic's lead
-        n = 9159
-        expected = []
-        m, p = n, 2
-        while m > 1:
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                expected.append((p, e))
-            p += 1
-        assert factorize(9159).factors == tuple(expected) == ((3, 1), (43, 1), (71, 1))
+        # independent trial-division factorization of the quartic's lead,
+        # and either side of the factor table's limit 2^20
+        for n in (9159, 2**20 - 1, 2**20, 2**20 + 1):
+            expected = []
+            m, p = n, 2
+            while m > 1:
+                if m % p == 0:
+                    e = 0
+                    while m % p == 0:
+                        m //= p
+                        e += 1
+                    expected.append((p, e))
+                p += 1
+            assert factorize(n).factors == tuple(expected), n
+            assert factorize(-n).factors == tuple(expected), -n
+        assert factorize(9159).factors == ((3, 1), (43, 1), (71, 1))
 
     def test_roundtrip(self, rng):
         for _ in range(150):
@@ -96,6 +106,10 @@ class TestFactorize:
     def test_semiprime_beyond_table(self):
         p, q = 1_000_003, 1_000_033
         assert factorize(p * q).factors == ((p, 1), (q, 1))
+        # both primes above 2^16, past the wheel: Brent rho splits them
+        p, q = 65537, 65539
+        assert factorize(p * q).factors == ((p, 1), (q, 1))
+        assert factorize(-(p**2) * q).factors == ((p, 2), (q, 1))
 
     def test_against_sympy_factorint(self, rng):
         # prime cofactors end the trial division early: 11-13 digit primes,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -35,6 +36,7 @@ from concordant.quadforms import (
     legendre_solvable,
     parametrize_conic,
     reduce_to_legendre,
+    reduced_parities,
     zero_coordinate_point,
 )
 
@@ -114,8 +116,26 @@ class TestReduceToLegendre:
     def test_matches_fraction_oracle(self, rng):
         # the integer divisors give the same reduction and the same mapped
         # points as the Fraction back-map matrix
-        for _ in range(2000):
-            coeffs = [_log_uniform_coefficient(rng, nonzero=True) for _ in range(3)]
+        # above the factor table: a wheel-range prime times a prime above
+        # 2^20, two primes above 2^16 (rho), squares of both, shared by
+        # two coefficients or by all three
+        big = (1009 * 1048583, 65537 * 65539, 1048583**2, 3 * 65539**2, 2**21 * 1048583)
+
+        def drawn_big():
+            return rng.choice((1, -1)) * rng.choice(big) * rng.randint(1, 9)
+
+        cases = itertools.chain(
+            ([_log_uniform_coefficient(rng, nonzero=True) for _ in "abc"] for _ in range(2000)),
+            ([drawn_big() for _ in "abc"] for _ in range(300)),
+            # one prime dividing all three coefficients at different exponents
+            [
+                [2 * 7**3, -3 * 7**2, 5 * 7],
+                [3 * 2**5, -5 * 2**2, 11 * 2**3],
+                [1048583**3, -1048583, 3 * 1048583**2],
+                [65537**4 * 65539, -(65537**2), 5 * 65537**7],
+            ],
+        )
+        for coeffs in cases:
             form = TernaryForm(coeffs[0], 0, coeffs[1], coeffs[2])
             red = reduce_to_legendre(form)
             oracle_coeffs, back = oracle_reduce_to_legendre(form)
@@ -123,6 +143,33 @@ class TestReduceToLegendre:
             point = tuple(rng.randint(-50, 50) for _ in range(3))
             if point != (0, 0, 0):
                 assert red.map_back(point) == oracle_map_back(back, point), (coeffs, point)
+
+
+class TestReducedParities:
+    def test_every_parity_triple(self):
+        # a prime in one coefficient stays, in two moves to the third, in
+        # three drops out
+        expected = {
+            (0, 0, 0): (0, 0, 0),
+            (1, 0, 0): (1, 0, 0),
+            (0, 1, 0): (0, 1, 0),
+            (0, 0, 1): (0, 0, 1),
+            (1, 1, 0): (0, 0, 1),
+            (1, 0, 1): (0, 1, 0),
+            (0, 1, 1): (1, 0, 0),
+            (1, 1, 1): (0, 0, 0),
+        }
+        for parities, reduced in expected.items():
+            assert reduced_parities(*parities) == reduced, parities
+
+    def test_bitmasks_bit_by_bit(self, rng):
+        for _ in range(500):
+            masks = [rng.getrandbits(rng.randint(1, 70)) for _ in range(3)]
+            reduced = reduced_parities(*masks)
+            for bit in range(70):
+                assert tuple(r >> bit & 1 for r in reduced) == reduced_parities(
+                    *(m >> bit & 1 for m in masks)
+                ), (masks, bit)
 
 
 class TestLegendreSolvable:

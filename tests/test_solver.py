@@ -1,11 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import pytest
-from conftest import oracle_final_search, oracle_scan_quartic, oracle_scan_weak
+from conftest import (
+    oracle_coprime_pattern_ok,
+    oracle_final_search,
+    oracle_scan_quartic,
+    oracle_scan_weak,
+)
 
 import concordant.solver
+from concordant import cli
 from concordant.curves import ConcordantCurve, log_height
-from concordant.descent import DescentTriplet, build_homogeneous_space, lift_solution
+from concordant.descent import DescentTriplet, build_homogeneous_space, classify, lift_solution
 from concordant.errors import (
     ConditionFailure,
     DegenerateKernel,
@@ -14,6 +21,7 @@ from concordant.errors import (
     VerificationFailure,
 )
 from concordant.integers import (
+    factorize,
     is_perfect_square,
     primitive_normalize,
     shell_pairs,
@@ -27,6 +35,7 @@ from concordant.solver import (
     kernel_cross_term,
     parameter_kernel,
     pinned_parametrization,
+    prepare_search,
     quartic_hit,
     quartic_sieve,
     scaled_square_conic,
@@ -225,6 +234,51 @@ class TestMiddleStages:
         _, _, psi = pinned_chain_psi()
         assert scaled_square_conic(psi.rows[0], -71).coefficients == (-90, 81, -20, 71)
         assert scaled_square_conic(psi.rows[1], -71).coefficients == (-719, 640, -144, 71)
+
+
+class TestCoprimePattern:
+    """The one-variable pattern test against the test on unit pairs."""
+
+    def test_matches_pair_oracle_on_families(self):
+        # every signed divisor of the cross-term core and of the rows'
+        # resultant, on each strong class of the five families
+        checked = 0
+        for family in sorted(cli.FAMILIES):
+            for p, q, k in cli._family_curves(family, 200):
+                curve = ConcordantCurve.from_pqk(p, q, k)
+                for c in classify(p, q, k).surviving_classes:
+                    space = build_homogeneous_space(c["representative"], curve.m, curve.n)
+                    search = prepare_search(space).search
+                    if not isinstance(search, concordant.solver.StrongSearch):
+                        continue
+                    psi = search.psi
+                    res = concordant.solver._binary_resultant(psi.rows[0], psi.rows[1])
+                    primes = set(factorize(abs(res)).primes())
+                    if search.cross_term:
+                        primes |= set(factorize(squarefree_part(search.cross_term)[0]).primes())
+                    for mu in concordant.solver._signed_square_factors(sorted(primes), bool):
+                        assert concordant.solver._coprime_pattern_ok(
+                            psi, mu
+                        ) == oracle_coprime_pattern_ok(psi, mu), (family, k, mu)
+                        checked += 1
+        assert checked > 500
+
+    def test_matches_pair_oracle_on_drawn_rows(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        row = st.tuples(*[st.integers(-10**4, 10**4)] * 3)
+        primes = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 31, 53, 97)), unique=True)
+
+        @hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(row, row, primes, st.sampled_from((1, -1)))
+        def check(r0, r1, mu_primes, sign):
+            psi = SimpleNamespace(rows=(r0, r1, (0, 0, 0)))
+            mu = sign * math.prod(mu_primes)
+            assert concordant.solver._coprime_pattern_ok(psi, mu) == oracle_coprime_pattern_ok(
+                psi, mu
+            )
+
+        check()
 
 
 class TestFinalLoop:
