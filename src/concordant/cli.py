@@ -497,12 +497,14 @@ def _primes_upto(bound: int):
     return out
 
 
+# name -> (p, q, multiplier, modulus, residue): k = multiplier*L for each
+# prime L = residue mod modulus
 FAMILIES = {
-    "cong5": "p=q=1, k prime, k = 5 mod 8",
-    "cong7": "p=q=1, k prime, k = 7 mod 8",
-    "twice7": "p=q=1, k = 2L, L prime, L = 7 mod 8",
-    "theta5": "p=1, q=3, k prime, k = 5 mod 24",
-    "theta96": "p=1, q=3, k = 2L, L prime, L = 7 mod 96",
+    "cong5": (1, 1, 1, 8, 5),
+    "cong7": (1, 1, 1, 8, 7),
+    "twice7": (1, 1, 2, 8, 7),
+    "theta5": (1, 3, 1, 24, 5),
+    "theta96": (1, 3, 2, 96, 7),
 }
 
 SERIES_COLUMNS = [
@@ -525,21 +527,12 @@ SERIES_COLUMNS = [
 ]
 
 
-def _family_curves(family: str, max_k: int):
-    if family in ("cong5", "cong7", "theta5"):
-        residue = {"cong5": (5, 8), "cong7": (7, 8), "theta5": (5, 24)}[family]
-        p, q = (1, 1) if family != "theta5" else (1, 3)
-        for prime in _primes_upto(max_k):
-            if prime % residue[1] == residue[0]:
-                yield (p, q, prime)
-    elif family in ("twice7", "theta96"):
-        mod = 8 if family == "twice7" else 96
-        p, q = (1, 1) if family == "twice7" else (1, 3)
-        for prime in _primes_upto(max_k // 2):
-            if prime % mod == 7:
-                yield (p, q, 2 * prime)
-    else:
+def _family_curves(family: str, max_k: int) -> list[tuple[int, int, int]]:
+    if family not in FAMILIES:
         raise InvalidArgument(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
+    p, q, multiplier, modulus, residue = FAMILIES[family]
+    primes = _primes_upto(max_k // multiplier)
+    return [(p, q, multiplier * prime) for prime in primes if prime % modulus == residue]
 
 
 def _series_row(family, p, q, k, t, status, outcome=None, curve=None, point=None):

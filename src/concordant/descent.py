@@ -200,7 +200,10 @@ def build_homogeneous_space(t: DescentTriplet, m: int, n: int) -> HomogeneousSpa
 class SquareClasses:
     """Square classes generated by -1 and a fixed prime set.  A class is an
     F2 exponent vector stored as an int: one bit for -1 and one per
-    generator, in `generators` order, so a product of classes is XOR."""
+    generator, in `generators` order, so a product of classes is XOR.  A
+    table of Legendre symbols between the generators, built once, decides
+    the Legendre criterion on such vectors (Serre, A Course in Arithmetic,
+    ch. III-IV)."""
 
     def __init__(self, generators: list[int]):
         self.generators = generators
@@ -209,6 +212,17 @@ class SquareClasses:
         # memos: value -> vector and vector -> value
         self._vectors: dict[int, int] = {}
         self._values: dict[int, int] = {}
+        # bit of each odd prime p -> mask of the generators g != p with (g/p) = -1
+        self._nonresidues = {
+            bit: sum(
+                1 << i
+                for i, g in enumerate(generators)
+                if g != p and pow(g % p, (p - 1) // 2, p) == p - 1
+            )
+            for bit, p in self._primes
+            if p != 2
+        }
+        self._odd = sum(self._nonresidues)
 
     def vector(self, value: int) -> int:
         """Exponent parities of a nonzero value whose primes are generators."""
@@ -237,41 +251,14 @@ class SquareClasses:
             self._values[vec] = value
         return value
 
-
-class SolvabilityTable(SquareClasses):
-    """Legendre criterion for the four quadrics of y^2 = x(x + m)(x + n) over
-    the square classes generated by a fixed prime set.
-
-    Every quadric coefficient is a signed product of generators, so
-    reduction and the criterion act on exponent parities alone, against a
-    table of Legendre symbols between the generators built once (Serre, A
-    Course in Arithmetic, ch. III-IV)."""
-
-    def __init__(self, generators: list[int], m: int, n: int):
-        if m == 0 or n == 0 or m == n:
-            raise DegenerateForm("m, n and m - n must be nonzero")
-        super().__init__(generators)
-        self._odd = 0
-        # bit of the odd prime p -> mask of the generators g != p with (g/p) = -1
-        self._nonresidues: dict[int, int] = {}
-        for bit, p in self._primes:
-            if p == 2:
-                continue
-            self._odd |= bit
-            self._nonresidues[bit] = sum(
-                1 << i
-                for i, g in enumerate(generators)
-                if g != p and pow(g % p, (p - 1) // 2, p) == p - 1
-            )
-        self._m, self._n, self._d = self.vector(m), self.vector(n), self.vector(m - n)
-
-    def _passes(self, x: int, y: int, z: int) -> bool:
-        # x, y, z are reduced: prime bits pairwise disjoint, x positive
+    def passes(self, x: int, y: int, z: int) -> bool:
+        """The criterion for x*X^2 + y*Y^2 + z*Z^2 on reduced vectors (prime
+        bits pairwise disjoint, x positive): mixed signs, and -s*t a residue
+        mod every odd prime of r for each permutation (r, s, t)."""
         neg = self._neg
         if not (y | z) & neg:
             return False
         for r, s, t in ((z, x, y), (y, x, z), (x, y, z)):
-            # -s*t must be a residue mod every odd prime of r
             odd = r & self._odd
             minus_st = s ^ t ^ neg
             while odd:
@@ -280,6 +267,19 @@ class SolvabilityTable(SquareClasses):
                     return False
                 odd ^= low
         return True
+
+
+class SolvabilityTable(SquareClasses):
+    """Legendre criterion for the four quadrics of y^2 = x(x + m)(x + n) over
+    the square classes generated by a fixed prime set.  Every quadric
+    coefficient is a signed product of generators, so reduction and the
+    criterion act on exponent parities alone."""
+
+    def __init__(self, generators: list[int], m: int, n: int):
+        if m == 0 or n == 0 or m == n:
+            raise DegenerateForm("m, n and m - n must be nonzero")
+        super().__init__(generators)
+        self._m, self._n, self._d = self.vector(m), self.vector(n), self.vector(m - n)
 
     def verdict(self, t: DescentTriplet) -> tuple[bool, str]:
         """(verdict, evidence) for one triplet, as in `triplet_solvable`.
@@ -304,7 +304,7 @@ class SolvabilityTable(SquareClasses):
             # the rule maps to the same parities, so it needs no step here
             rx, ry, rz = reduced_parities(x & prime_bits, y & prime_bits, z & prime_bits)
             x, y, z = rx | x & neg, ry | y & neg, rz | z & neg
-            if not self._passes(x, y, z):
+            if not self.passes(x, y, z):
                 reduced = (self.value(x), self.value(y), self.value(z))
                 return False, f"{name} reduces to {reduced}: criterion fails"
         return True, "all four quadrics pass the criterion"

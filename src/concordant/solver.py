@@ -17,12 +17,11 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .descent import HomogeneousSpace
+from .descent import HomogeneousSpace, SquareClasses
 from .errors import (
     ConditionFailure,
-    DegenerateForm,
     DegenerateKernel,
     EffortExhausted,
     InvalidArgument,
@@ -35,17 +34,14 @@ from .integers import (
     primitive_normalize,
     shell_pairs,
     shell_size,
-    squarefree_part,
 )
 from .quadforms import (
     ConicParametrization,
     TernaryForm,
     compose_quartic,
-    diagonal_model,
     find_conic_point,
-    legendre_solvable,
     parametrize_conic,
-    reduce_to_legendre,
+    reduced_parities,
     zero_coordinate_point,
 )
 
@@ -412,13 +408,39 @@ def kernel_cross_term(kernel: Triple, psi: ConicParametrization) -> int:
     return sum(c * m for c, m in zip(kernel, mid))
 
 
-def _signed_square_factors(primes: Sequence[int], keep: Callable[[int], bool]) -> list[int]:
-    """+-d for every squarefree product d of `primes` that `keep` accepts,
-    ordered by |mu|, positive first."""
+def _solvable_square_factors(psi: ConicParametrization, primes: Sequence[int]) -> list[int]:
+    """+-d for every squarefree product d of `primes` for which both row
+    conics row_i(Z0, Z1) = mu*Z2^2 pass the solvability criterion, ordered
+    by |mu|, positive first.  Times 4*r0, a row conic is U^2 - disc*Z1^2 -
+    4*r0*mu*Z2^2 with U = 2*r0*Z0 + r1*Z1 and disc = r1^2 - 4*r0*r2, so the
+    criterion reads only the square classes (1, -disc, -r0*mu), and one
+    table over -1, `primes` and the primes of each row's disc and r0
+    decides every mu.  A degenerate row (disc = 0) keeps nothing."""
+    rows = psi.rows[:2]
+    discs = [r1 * r1 - 4 * r0 * r2 for r0, r1, r2 in rows]
+    if 0 in discs:
+        return []
+    generators = {-1, *primes}
+    for row, disc in zip(rows, discs):
+        generators.update(factorize(disc).primes(), factorize(row[0]).primes())
+    squares = SquareClasses(sorted(generators))
+    neg = squares.vector(-1)
+    fixed = [(squares.vector(-disc), squares.vector(-row[0])) for row, disc in zip(rows, discs)]
+
+    def passes(y: int, z: int) -> bool:
+        # (1, y, z) reduced: a prime of both y and z moves to the first class
+        x, ry, rz = reduced_parities(0, y & ~neg, z & ~neg)
+        return squares.passes(x, ry | y & neg, rz | z & neg)
+
     cores = [1]
     for p in primes:
         cores += [c * p for c in cores]
-    return [mu for d in sorted(cores) for mu in (d, -d) if keep(mu)]
+    return [
+        mu
+        for d in sorted(cores)
+        for mu in (d, -d)
+        if all(passes(y, z ^ squares.vector(mu)) for y, z in fixed)
+    ]
 
 
 def square_factor_candidates(cross_term: int, psi: ConicParametrization) -> list[int]:
@@ -428,11 +450,8 @@ def square_factor_candidates(cross_term: int, psi: ConicParametrization) -> list
     ordered by |mu|, positive first."""
     if cross_term == 0:
         raise DegenerateKernel("cross term vanishes; divisor condition is empty")
-    core = abs(squarefree_part(cross_term)[0])
-    return _signed_square_factors(
-        factorize(core).primes(),
-        lambda mu: _scaled_rows_solvable(psi, mu) and _coprime_pattern_ok(psi, mu),
-    )
+    odd = [p for p, e in factorize(cross_term).factors if e & 1]
+    return [mu for mu in _solvable_square_factors(psi, odd) if _coprime_pattern_ok(psi, mu)]
 
 
 def _binary_resultant(f: Triple, g: Triple) -> int:
@@ -450,9 +469,7 @@ def extended_square_factors(psi: ConicParametrization) -> list[int]:
     res = _binary_resultant(psi.rows[0], psi.rows[1])
     if res == 0:
         raise DegenerateKernel("parametrization rows share a factor")
-    return _signed_square_factors(
-        factorize(abs(res)).primes(), lambda mu: _scaled_rows_solvable(psi, mu)
-    )
+    return _solvable_square_factors(psi, factorize(abs(res)).primes())
 
 
 def _coprime_pattern_ok(psi: ConicParametrization, mu: int) -> bool:
@@ -473,17 +490,6 @@ def _coprime_pattern_ok(psi: ConicParametrization, mu: int) -> bool:
         for r in psi.rows[:2]:
             if not any((r[0] * x * x + r[1] * x + r[2]) % modulus in targets for x in xs):
                 return False
-    return True
-
-
-def _scaled_rows_solvable(psi: ConicParametrization, mu: int) -> bool:
-    for i in (0, 1):
-        try:
-            form = scaled_square_conic(psi.rows[i], mu)
-        except DegenerateForm:
-            return False
-        if not legendre_solvable(reduce_to_legendre(diagonal_model(form))):
-            return False
     return True
 
 

@@ -11,6 +11,7 @@ from concordant.descent import (
     torsion_columns,
 )
 from concordant.errors import (
+    DegenerateForm,
     DegenerateKernel,
     EffortExhausted,
     FactorizationIncomplete,
@@ -351,6 +352,20 @@ def oracle_coprime_pattern_ok(psi, mu: int) -> bool:
                     for b in range(1, p)
                 ):
                     return False
+    return True
+
+
+def oracle_rows_solvable(psi, mu: int) -> bool:
+    """The square-factor solvability test the parity table replaced: each
+    row conic row_i(Z0, Z1) = mu*Z2^2 is built, completed to a diagonal
+    form, reduced and put to the criterion on its own."""
+    for i in (0, 1):
+        try:
+            form = TernaryForm(*psi.rows[i], -mu)
+        except DegenerateForm:
+            return False
+        if not legendre_solvable(reduce_to_legendre(diagonal_model(form))):
+            return False
     return True
 
 

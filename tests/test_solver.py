@@ -1,10 +1,13 @@
+import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from conftest import (
     oracle_coprime_pattern_ok,
     oracle_final_search,
+    oracle_rows_solvable,
     oracle_scan_quartic,
     oracle_scan_weak,
 )
@@ -18,6 +21,7 @@ from concordant.errors import (
     DegenerateKernel,
     EffortExhausted,
     InvalidArgument,
+    NoSolution,
     VerificationFailure,
 )
 from concordant.integers import (
@@ -32,6 +36,7 @@ from concordant.solver import (
     SIEVE_PRIMES,
     ScanRound,
     StagePins,
+    extended_square_factors,
     kernel_cross_term,
     parameter_kernel,
     pinned_parametrization,
@@ -54,6 +59,15 @@ PHI_142 = ((0, 16, 0), (8, 0, 3), (-16, 0, 6))
 PSI_142 = ((-90, 81, -20), (-719, 640, -144), (-9, 40, -16))
 GAMMA_142 = ((-5, 10, 279), (-19, 180, -90), (-5, 81, -360))
 QUARTIC_142 = (-9159, 359260, -5176610, 32218380, -73204479)
+
+
+def signed_divisors(primes):
+    """+-d for every squarefree product d of the primes, by |d|, positive
+    first."""
+    cores = [1]
+    for p in primes:
+        cores += [c * p for c in cores]
+    return [mu for d in sorted(cores) for mu in (d, -d)]
 
 
 def pinned_chain_psi():
@@ -256,7 +270,7 @@ class TestCoprimePattern:
                     primes = set(factorize(abs(res)).primes())
                     if search.cross_term:
                         primes |= set(factorize(squarefree_part(search.cross_term)[0]).primes())
-                    for mu in concordant.solver._signed_square_factors(sorted(primes), bool):
+                    for mu in signed_divisors(sorted(primes)):
                         assert concordant.solver._coprime_pattern_ok(
                             psi, mu
                         ) == oracle_coprime_pattern_ok(psi, mu), (family, k, mu)
@@ -279,6 +293,103 @@ class TestCoprimePattern:
             )
 
         check()
+
+
+def _oracle_candidates(cross_term, psi):
+    core = abs(squarefree_part(cross_term)[0])
+    return [
+        mu
+        for mu in signed_divisors(factorize(core).primes())
+        if oracle_rows_solvable(psi, mu) and oracle_coprime_pattern_ok(psi, mu)
+    ]
+
+
+def _oracle_completion(psi):
+    res = concordant.solver._binary_resultant(psi.rows[0], psi.rows[1])
+    primes = factorize(abs(res)).primes()
+    return [mu for mu in signed_divisors(primes) if oracle_rows_solvable(psi, mu)]
+
+
+class TestSquareFactorTable:
+    """The square factors decided on one parity table per psi against the
+    per-mu reduction of both row conics."""
+
+    def _check_psis(self, monkeypatch, runs):
+        # every psi that prepare_search builds on the given curves
+        psis = []
+        kernel = concordant.solver.parameter_kernel
+
+        def record(psi):
+            psis.append(psi)
+            return kernel(psi)
+
+        monkeypatch.setattr(concordant.solver, "parameter_kernel", record)
+        for p, q, k in runs:
+            curve = ConcordantCurve.from_pqk(p, q, k)
+            for c in classify(p, q, k).surviving_classes:
+                space = build_homogeneous_space(c["representative"], curve.m, curve.n)
+                try:
+                    prepare_search(space)
+                except (EffortExhausted, NoSolution):
+                    pass
+        monkeypatch.undo()
+        kept = 0
+        for psi in psis:
+            cross = kernel_cross_term(parameter_kernel(psi), psi)
+            if cross:
+                candidates = square_factor_candidates(cross, psi)
+                assert candidates == _oracle_candidates(cross, psi), psi.rows
+                kept += len(candidates)
+            completion = extended_square_factors(psi)
+            assert completion == _oracle_completion(psi), psi.rows
+            kept += len(completion)
+        return len(psis), kept
+
+    def test_matches_oracle_on_families(self, monkeypatch):
+        runs = [curve for f in sorted(cli.FAMILIES) for curve in cli._family_curves(f, 200)]
+        psis, kept = self._check_psis(monkeypatch, runs)
+        assert psis >= 80 and kept >= 300
+
+    def test_matches_oracle_on_pool(self, monkeypatch):
+        pool_file = Path(__file__).resolve().parents[1] / "perfbench" / "largek_pool.json"
+        groups = json.loads(pool_file.read_text())["groups"]
+        runs = [tuple(member) for g in groups for member in g["members"]]
+        assert len(runs) == 34
+        psis, kept = self._check_psis(monkeypatch, runs)
+        assert psis >= 100 and kept >= 400
+
+    def test_matches_oracle_on_drawn_rows(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        nonzero = st.integers(-10**4, 10**4).filter(bool)
+        general = st.tuples(nonzero, st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
+        # a*(b*X + c*Y)^2 has disc = 0
+        small = st.integers(-50, 50)
+        square = st.builds(lambda a, b, c: (a * b * b, 2 * a * b * c, a * c * c), nonzero, small, small)
+        square = square.filter(lambda r: r[0])
+        content = st.sampled_from((1, 1, 1, 2, 3, 4, 6, 9, 10, 49))
+        shapes = st.one_of(general, general, square)
+        row = st.builds(lambda r, g: tuple(g * c for c in r), shapes, content)
+        primes = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 31, 53, 97)), unique=True, max_size=5)
+        seen = dict.fromkeys(("disc0", "two", "content", "shared", "kept"), 0)
+
+        @hypothesis.settings(max_examples=600, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(row, row, primes, st.lists(st.integers(1, 3), min_size=5, max_size=5))
+        def check(r0, r1, mu_primes, exponents):
+            psi = SimpleNamespace(rows=(r0, r1, (0, 0, 0)))
+            got = concordant.solver._solvable_square_factors(psi, mu_primes)
+            expected = [mu for mu in signed_divisors(mu_primes) if oracle_rows_solvable(psi, mu)]
+            assert got == expected
+            cross = -math.prod(p**e for p, e in zip(mu_primes, exponents))
+            assert square_factor_candidates(cross, psi) == _oracle_candidates(cross, psi)
+            seen["disc0"] += any(r[1] ** 2 == 4 * r[0] * r[2] for r in (r0, r1))
+            seen["two"] += 2 in mu_primes
+            seen["content"] += any(math.gcd(*r) > 1 for r in (r0, r1))
+            seen["shared"] += any(r[0] % p == 0 for p in mu_primes for r in (r0, r1))
+            seen["kept"] += len(got) > 0
+
+        check()
+        assert min(seen.values()) >= 50, seen
 
 
 class TestFinalLoop:
