@@ -31,6 +31,7 @@ from types import SimpleNamespace
 from .curves import ConcordantCurve, CurvePoint, log_height, point_log_height
 from .descent import (
     DescentTriplet,
+    LocalImages,
     build_homogeneous_space,
     classify,
     lift_solution,
@@ -574,8 +575,12 @@ def _curve_rows(family: str, radius_cap: int, pqk: tuple[int, int, int]) -> list
     if family == "theta96":
         return _theta96_rows(family, p, q, k, curve, radius_cap)
     reps = [c["representative"] for c in classify(p, q, k).surviving_classes]
+    # a class with no point over some Q_ell has no rational point, so it
+    # cannot hit; the exhausted row still names the first survivor
+    local = LocalImages(p, q, k)
+    kept = [t for t in reps if not local.obstructions(t)]
     try:
-        t, outcome, point = search_curve(curve, reps, _cap_ladder(radius_cap))
+        t, outcome, point = search_curve(curve, kept, _cap_ladder(radius_cap))
     except EffortExhausted:
         t = reps[0] if reps else DescentTriplet(1, 1, 1)
         return [_series_row(family, p, q, k, t, "exhausted")]

@@ -3,9 +3,10 @@
 Square classes, the finite class group generated by the bad primes, triplets
 (A, B, C) indexing homogeneous spaces (with A*B*C a perfect square and A > 0),
 the action of the 2-torsion points on triplets, the solvability filter
-decided from a per-curve table of Legendre symbols, construction of the four
-three-variable quadrics of a homogeneous space, and lifting of solutions back
-to curve points.
+decided from a per-curve table of Legendre symbols, the local images of the
+2-descent map that decide which classes have a point over every Q_ell,
+construction of the four three-variable quadrics of a homogeneous space, and
+lifting of solutions back to curve points.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .curves import ConcordantCurve, CurvePoint, class_of
 from .errors import DegenerateForm, InvalidArgument, VerificationFailure
@@ -308,6 +310,132 @@ class SolvabilityTable(SquareClasses):
                 reduced = (self.value(x), self.value(y), self.value(z))
                 return False, f"{name} reduces to {reduced}: criterion fails"
         return True, "all four quadrics pass the criterion"
+
+
+def local_class(value: int, ell: int) -> int:
+    """The class of a nonzero integer in Q_ell*/Q_ell*^2 as bits: bit 0 is
+    the parity of the ell-adic valuation; at an odd ell bit 1 is set when
+    the unit part is a non-residue mod ell, and at ell = 2 bits 1 and 2 are
+    set when the unit part is 3 mod 4 and when it is 3 or 5 mod 8.  The map
+    is a homomorphism onto F2^2, or F2^3 at 2."""
+    v = 0
+    while value % ell == 0:
+        value //= ell
+        v += 1
+    if ell == 2:
+        u = value % 8
+        return v & 1 | (u % 4 == 3) << 1 | (u in (3, 5)) << 2
+    return v & 1 | (pow(value % ell, (ell - 1) // 2, ell) != 1) << 1
+
+
+def _class_width(ell: int) -> int:
+    # bits of a `local_class`: Q_ell*/Q_ell*^2 has order 4, or 8 at 2
+    return 3 if ell == 2 else 2
+
+
+# the points x = a*ell^v tried, beyond the 2-torsion, for a local image:
+# ell does not divide a, 1 <= |a| <= _POINT_UNITS and |v| <= _POINT_SHIFTS
+_POINT_UNITS = 64
+_POINT_SHIFTS = 6
+
+
+def local_image(ell: int, m: int, n: int, columns) -> Optional[list[int]]:
+    """A basis of delta_ell(E(Q_ell)) for E: y^2 = x(x + m)(x + n), or None
+    when the bounded point search below does not fill it.  delta maps a
+    point to the classes of (x + m, x) packed as `local_class(x + m) |
+    local_class(x) << w`, w the width of a class.  E has full rational
+    2-torsion, so E(Q_ell)/2E(Q_ell) has dimension 2 at an odd ell and 3 at
+    ell = 2, and delta is injective on it (Silverman, AEC, Prop. X.1.4).
+    The span starts from the 2-torsion images, the (x + m, x, x + n) class
+    `columns` of `torsion_value_table`, and takes the rational points
+    x = a*ell^v with x(x + m)(x + n) an ell-adic square until it has that
+    dimension.  A larger span is a VerificationFailure."""
+    width = _class_width(ell)
+    dimension = 3 if ell == 2 else 2
+    basis: list[int] = []
+
+    def add(v: int) -> bool:
+        # True once the span has its dimension; the basis is kept in
+        # decreasing order of leading bit, so this reduces v modulo the span
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+            if len(basis) > dimension:
+                raise VerificationFailure(
+                    f"local image at {ell} of ({m}, {n}) spans more than {dimension} dimensions"
+                )
+        return len(basis) == dimension
+
+    for c0, c1, _ in columns:
+        add(local_class(c0, ell) | local_class(c1, ell) << width)
+    if len(basis) == dimension:
+        return basis
+    for a in range(1, _POINT_UNITS + 1):
+        if a % ell == 0:
+            continue
+        for v in range(-_POINT_SHIFTS, _POINT_SHIFTS + 1):
+            # x = X/D with D = ell^-v when v < 0: x(x + m)(x + n) then has
+            # the valuation 3v, odd unless v is even, and an even v makes D
+            # a square, so x + m, x and the product have the classes of
+            # X + m*D, X and X(X + m*D)(X + n*D)
+            if v < 0 and v % 2:
+                continue
+            d = ell ** max(-v, 0)
+            for x in (a * ell ** max(v, 0), -a * ell ** max(v, 0)):
+                w = x * (x + m * d) * (x + n * d)
+                if w == 0 or local_class(w, ell):
+                    continue
+                if add(local_class(x + m * d, ell) | local_class(x, ell) << width):
+                    return basis
+    return None
+
+
+class LocalImages(SquareClasses):
+    """The local conditions of the complete 2-descent of y^2 = x(x + pk)(x - qk):
+    a class (A, B, C) has a point over Q_ell only when (A, B) lies in
+    `local_image(ell, ...)`, for every ell in {2} and the primes of
+    m*n*(m - n), which are the positive generators.  An image W is the
+    common kernel of the linear forms h on pairs of local classes with
+    h . w = 0 for all w in W; each generator's local class is tabulated
+    once, so each form becomes one mask on the exponent vector of A and one
+    on that of B, and a class is tested with ANDs and parities.  A prime
+    whose image the point search does not fill imposes no condition."""
+
+    def __init__(self, p: int, q: int, k: int):
+        super().__init__(descent_generators(p, q, k))
+        columns = torsion_columns(torsion_value_table(p, q, k))
+        # ell -> the (mask on A, mask on B) of each nonzero form that
+        # vanishes on the image; only the primes whose image is filled
+        self.conditions: dict[int, list[tuple[int, int]]] = {}
+        for ell in self.generators:
+            if ell < 2:
+                continue
+            basis = local_image(ell, p * k, -q * k, columns)
+            if basis is None:
+                continue
+            width = _class_width(ell)
+            classes = [local_class(g, ell) for g in self.generators]
+
+            def mask(h: int) -> int:
+                # generator bits whose local class h pairs to 1
+                return sum(1 << i for i, c in enumerate(classes) if (h & c).bit_count() & 1)
+
+            self.conditions[ell] = [
+                (mask(h & (1 << width) - 1), mask(h >> width))
+                for h in range(1, 1 << 2 * width)
+                if not any((h & w).bit_count() & 1 for w in basis)
+            ]
+
+    def obstructions(self, t: DescentTriplet) -> list[int]:
+        """The primes, ascending, over which the class of t has no point."""
+        va, vb = self.vector(t.a), self.vector(t.b)
+        return [
+            ell
+            for ell, forms in self.conditions.items()
+            if any(((va & ma).bit_count() ^ (vb & mb).bit_count()) & 1 for ma, mb in forms)
+        ]
 
 
 def triplet_solvable(t: DescentTriplet, m: int, n: int) -> tuple[bool, str]:

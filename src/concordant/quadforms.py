@@ -72,12 +72,23 @@ class TernaryForm:
 class LegendreForm:
     """Diagonal a*X^2 + b*Y^2 + c*Z^2 with abc squarefree, plus the integer
     divisors (r0, r1, r2): a root p of this form gives the root
-    (p0/r0, p1/r1, p2/r2) of the source form."""
+    (p0/r0, p1/r1, p2/r2) of the source form.  `odd_primes` holds the odd
+    primes of each coefficient, ascending; when it is not given, the
+    coefficients are factored here."""
 
     a: int
     b: int
     c: int
     scales: Triple = (1, 1, 1)
+    odd_primes: Optional[tuple[tuple[int, ...], ...]] = None
+
+    def __post_init__(self):
+        if self.odd_primes is None:
+            odd = tuple(
+                tuple(p for p in factorize(v).primes() if p != 2) if abs(v) > 2 else ()
+                for v in self.coefficients
+            )
+            object.__setattr__(self, "odd_primes", odd)
 
     @property
     def coefficients(self) -> Triple:
@@ -105,7 +116,8 @@ def reduce_to_legendre(form: TernaryForm) -> LegendreForm:
     72, 2003).  A TernaryForm has no content and, when diagonal, no zero
     coefficient, so no prime is in all three.  Every step substitutes
     X_i -> p*X_i, so the back map is three integer divisors, kept in
-    `scales`."""
+    `scales`; the odd primes each reduced coefficient keeps go to
+    `odd_primes`, for the criterion."""
     factored = [factorize(c) for c in form.diagonal()]
     reduced = [f.sign for f in factored]
     scales = [1, 1, 1]
@@ -117,14 +129,17 @@ def reduce_to_legendre(form: TernaryForm) -> LegendreForm:
             if e & 1:
                 odd[i] |= bits.setdefault(p, 1 << len(bits))
     kept = reduced_parities(*odd)
-    for p, bit in bits.items():
+    odd_primes = ([], [], [])
+    for p, bit in sorted(bits.items()):
         for i in range(3):
             if kept[i] & bit:
                 reduced[i] *= p
+                if p != 2:
+                    odd_primes[i].append(p)
             elif odd[i] & bit:
                 # p moves away from coefficient i: X_i -> p*X_i
                 scales[i] *= p
-    return LegendreForm(*reduced, tuple(scales))
+    return LegendreForm(*reduced, tuple(scales), tuple(map(tuple, odd_primes)))
 
 
 def _local_squares(form: LegendreForm) -> Optional[list[tuple[int, int, int]]]:
@@ -137,11 +152,7 @@ def _local_squares(form: LegendreForm) -> Optional[list[tuple[int, int, int]]]:
         return None
     out = []
     for k, i, j in ((2, 0, 1), (1, 0, 2), (0, 1, 2)):
-        if abs(coeffs[k]) <= 2:
-            continue
-        for p in factorize(coeffs[k]).primes():
-            if p == 2:
-                continue
+        for p in form.odd_primes[k]:
             x = -coeffs[i] * coeffs[j] % p
             if x:
                 if pow(x, (p - 1) // 2, p) != 1:

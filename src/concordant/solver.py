@@ -408,22 +408,35 @@ def kernel_cross_term(kernel: Triple, psi: ConicParametrization) -> int:
     return sum(c * m for c, m in zip(kernel, mid))
 
 
-def _solvable_square_factors(psi: ConicParametrization, primes: Sequence[int]) -> list[int]:
+def _row_primes(psi: ConicParametrization) -> set[int]:
+    """The primes of each row's disc and r0, the values whose square classes
+    `_solvable_square_factors` reads beside mu.  A degenerate row (disc = 0)
+    keeps no square factor, so it needs none and gets the empty set."""
+    rows = psi.rows[:2]
+    discs = [r1 * r1 - 4 * r0 * r2 for r0, r1, r2 in rows]
+    if 0 in discs:
+        return set()
+    primes = set()
+    for row, disc in zip(rows, discs):
+        primes.update(factorize(disc).primes(), factorize(row[0]).primes())
+    return primes
+
+
+def _solvable_square_factors(
+    psi: ConicParametrization, primes: Sequence[int], row_primes: set[int]
+) -> list[int]:
     """+-d for every squarefree product d of `primes` for which both row
     conics row_i(Z0, Z1) = mu*Z2^2 pass the solvability criterion, ordered
     by |mu|, positive first.  Times 4*r0, a row conic is U^2 - disc*Z1^2 -
     4*r0*mu*Z2^2 with U = 2*r0*Z0 + r1*Z1 and disc = r1^2 - 4*r0*r2, so the
     criterion reads only the square classes (1, -disc, -r0*mu), and one
-    table over -1, `primes` and the primes of each row's disc and r0
-    decides every mu.  A degenerate row (disc = 0) keeps nothing."""
+    table over -1, `primes` and `row_primes` (see `_row_primes`) decides
+    every mu.  A degenerate row (disc = 0) keeps nothing."""
     rows = psi.rows[:2]
     discs = [r1 * r1 - 4 * r0 * r2 for r0, r1, r2 in rows]
     if 0 in discs:
         return []
-    generators = {-1, *primes}
-    for row, disc in zip(rows, discs):
-        generators.update(factorize(disc).primes(), factorize(row[0]).primes())
-    squares = SquareClasses(sorted(generators))
+    squares = SquareClasses(sorted({-1, *primes, *row_primes}))
     neg = squares.vector(-1)
     fixed = [(squares.vector(-disc), squares.vector(-row[0])) for row, disc in zip(rows, discs)]
 
@@ -443,15 +456,21 @@ def _solvable_square_factors(psi: ConicParametrization, primes: Sequence[int]) -
     ]
 
 
-def square_factor_candidates(cross_term: int, psi: ConicParametrization) -> list[int]:
+def square_factor_candidates(
+    cross_term: int, psi: ConicParametrization, row_primes: set[int]
+) -> list[int]:
     """Signed squarefree divisors of the squarefree part of the cross term,
     kept when both row conics (row_i = mu * sigma^2) pass the solvability
     criterion AND admit the integral pattern with parameters coprime to mu;
-    ordered by |mu|, positive first."""
+    ordered by |mu|, positive first.  `row_primes` is `_row_primes(psi)`."""
     if cross_term == 0:
         raise DegenerateKernel("cross term vanishes; divisor condition is empty")
     odd = [p for p, e in factorize(cross_term).factors if e & 1]
-    return [mu for mu in _solvable_square_factors(psi, odd) if _coprime_pattern_ok(psi, mu)]
+    return [
+        mu
+        for mu in _solvable_square_factors(psi, odd, row_primes)
+        if _coprime_pattern_ok(psi, mu, [p for p in odd if mu % p == 0])
+    ]
 
 
 def _binary_resultant(f: Triple, g: Triple) -> int:
@@ -460,29 +479,29 @@ def _binary_resultant(f: Triple, g: Triple) -> int:
     )
 
 
-def extended_square_factors(psi: ConicParametrization) -> list[int]:
+def extended_square_factors(psi: ConicParametrization, row_primes: set[int]) -> list[int]:
     """Completion of the candidate set: any square factor of an actual
     solution divides both row values at parameters that are coprime where it
     matters, so its primes divide the resultant of the two rows.  Only the
     solvability criterion is applied here (the coprime-pattern refinement can
-    reject the true factor when the rows take imprimitive values)."""
+    reject the true factor when the rows take imprimitive values).
+    `row_primes` is `_row_primes(psi)`."""
     res = _binary_resultant(psi.rows[0], psi.rows[1])
     if res == 0:
         raise DegenerateKernel("parametrization rows share a factor")
-    return _solvable_square_factors(psi, factorize(abs(res)).primes())
+    return _solvable_square_factors(psi, factorize(abs(res)).primes(), row_primes)
 
 
-def _coprime_pattern_ok(psi: ConicParametrization, mu: int) -> bool:
+def _coprime_pattern_ok(psi: ConicParametrization, mu: int, primes: Sequence[int]) -> bool:
     """Necessary local conditions for row_i(n0, n1) = mu*s^2 to have integer
     solutions with n0, n1 coprime to mu: each odd prime of mu must divide
     some row value at unit coordinates, and for even mu the congruence must
-    already close modulo 16.  A row is a binary quadratic, so row(a, b) =
-    b^2 * row(a/b, 1) for a unit b, and the test runs on x = a/b alone:
-    modulo 16 the squares of units are 1 and 9, and the targets mu*s^2 are
-    closed under multiplication by 9."""
-    if abs(mu) == 1:
-        return True
-    for p in factorize(abs(mu)).primes():
+    already close modulo 16.  `primes` are the primes of the squarefree mu.
+    A row is a binary quadratic, so row(a, b) = b^2 * row(a/b, 1) for a
+    unit b, and the test runs on x = a/b alone: modulo 16 the squares of
+    units are 1 and 9, and the targets mu*s^2 are closed under
+    multiplication by 9."""
+    for p in primes:
         if p == 2:
             modulus, xs, targets = 16, range(1, 16, 2), {mu * s * s % 16 for s in range(16)}
         else:
@@ -589,11 +608,12 @@ def _prepare_strong(sel: PairSelection, pins: StagePins) -> StrongSearch:
 
     kernel = parameter_kernel(psi)
     cross = kernel_cross_term(kernel, psi)
+    row_primes = _row_primes(psi)
     try:
-        candidates = square_factor_candidates(cross, psi)
+        candidates = square_factor_candidates(cross, psi, row_primes)
     except DegenerateKernel:
         candidates = []
-    completion = [m for m in extended_square_factors(psi) if m not in candidates]
+    completion = [m for m in extended_square_factors(psi, row_primes) if m not in candidates]
     if pins.mu is not None:
         if pins.mu not in candidates and pins.mu not in completion:
             raise InvalidArgument(f"mu={pins.mu} is not among the candidates {candidates}")

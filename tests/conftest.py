@@ -380,6 +380,36 @@ def oracle_triplet_solvable(t, m: int, n: int) -> tuple[bool, str]:
     return True, "all four quadrics pass the criterion"
 
 
+def _valuation(x: int, p: int) -> int:
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def oracle_local_point(t, m: int, n: int, p: int) -> bool:
+    """Whether the homogeneous space of t, A*a^2 = B*b^2 + m*d^2 and
+    C*c^2 = B*b^2 + n*d^2, has a solution modulo p^e with not all of a, b,
+    c, d divisible by p, by brute force over (b, d) with the values A*a^2
+    and C*c^2 taken from residue sets.  A point over Q_p reduces to such a
+    solution for every e, so False proves there is none; e is v + 4 at 2
+    and v + 2 at an odd p, v the largest valuation of m, n and m - n.
+    A and C are squarefree, so p | b and p | d force p | a and p | c: a
+    primitive solution has b or d prime to p, and scaling by a unit makes
+    that one 1."""
+    v = max(_valuation(x, p) for x in (m, n, m - n))
+    mod = p ** (v + (4 if p == 2 else 2))
+    a, b, c = t.as_tuple()
+    a_values = {a * x * x % mod for x in range(mod)}
+    c_values = {c * x * x % mod for x in range(mod)}
+    pairs = [(1, d) for d in range(mod)] + [(y, 1) for y in range(0, mod, p)]
+    return any(
+        (b * y * y + m * d * d) % mod in a_values and (b * y * y + n * d * d) % mod in c_values
+        for y, d in pairs
+    )
+
+
 def oracle_torsion_equivalence_classes(triplets, table):
     """The orbit loop the exponent-vector orbits replaced: each image built
     through DescentTriplet.act, which checks its square product."""

@@ -29,7 +29,7 @@ from concordant.descent import DescentTriplet
 from concordant.errors import EffortExhausted, FactorizationIncomplete
 from concordant.fixtures import load_fixture, parse_fixture
 
-def _over_factoring_budget(psi):
+def _over_factoring_budget(psi, row_primes):
     raise FactorizationIncomplete(10**40 + 1, [], 10**40 + 1)
 
 
@@ -138,9 +138,9 @@ class TestSolveCommand:
     def test_factoring_budget_counts_as_exhausted(self, monkeypatch, capsys):
         calls = []
 
-        def over_budget(psi):
+        def over_budget(psi, row_primes):
             calls.append(psi)
-            _over_factoring_budget(psi)
+            _over_factoring_budget(psi, row_primes)
 
         monkeypatch.setattr(concordant.solver, "extended_square_factors", over_budget)
         code = main(["solve", "--p", "1", "--q", "3", "--k", "142", "--radius-cap", "100"])
@@ -152,11 +152,11 @@ class TestSolveCommand:
         real = concordant.solver.extended_square_factors
         calls = []
 
-        def first_call_over_budget(psi):
+        def first_call_over_budget(psi, row_primes):
             calls.append(psi)
             if len(calls) == 1:
                 raise FactorizationIncomplete(10**40 + 1, [], 10**40 + 1)
-            return real(psi)
+            return real(psi, row_primes)
 
         monkeypatch.setattr(concordant.solver, "extended_square_factors", first_call_over_budget)
         report = run_solve(1, 3, 142, radius_cap=500)

@@ -1,13 +1,17 @@
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
-from conftest import oracle_torsion_equivalence_classes, oracle_triplet_solvable
+from conftest import oracle_local_point, oracle_torsion_equivalence_classes, oracle_triplet_solvable
 
+from concordant import cli
 from concordant.curves import ConcordantCurve, CurvePoint
 from concordant.descent import (
     DescentTriplet,
+    LocalImages,
     SolvabilityTable,
     build_homogeneous_space,
     class_group,
@@ -16,11 +20,13 @@ from concordant.descent import (
     descent_generators,
     enumerate_triplets,
     lift_solution,
+    local_class,
+    local_image,
     torsion_equivalence_classes,
     torsion_value_table,
     triplet_solvable,
 )
-from concordant.errors import DegenerateForm, InvalidArgument
+from concordant.errors import DegenerateForm, EffortExhausted, InvalidArgument, VerificationFailure
 from concordant.integers import factorize, is_perfect_square, squarefree_part
 
 
@@ -376,3 +382,154 @@ class TestClassify:
 
 def torsion_members(cls):
     return next(c["members"] for c in cls.classes if c["is_torsion_class"])
+
+
+def _searched_sweep_curves():
+    # the curves `series` searches by class at max_k 200: every family but
+    # theta96, which searches two fixed classes
+    return [c for f in ("cong5", "cong7", "twice7", "theta5") for c in cli._family_curves(f, 200)]
+
+
+# odd primes small enough for the brute-force oracle
+_ORACLE_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+class TestLocalImages:
+    """The local conditions of the complete 2-descent against a brute-force
+    search for points of each homogeneous space modulo p^e."""
+
+    def _assert_matches_oracle(self, p, q, k, triplets):
+        local = LocalImages(p, q, k)
+        m, n = p * k, -q * k
+        checked = 0
+        for t in triplets:
+            obstructions = local.obstructions(t)
+            for ell in local.conditions:
+                if ell in _ORACLE_PRIMES:
+                    has_point = oracle_local_point(t, m, n, ell)
+                    assert (ell not in obstructions) == has_point, (p, q, k, t, ell)
+                    checked += 1
+        return checked
+
+    def test_every_class_of_the_sweep_matches_oracle(self):
+        curves = _searched_sweep_curves()
+        assert len(curves) == 38
+        checked = sum(
+            self._assert_matches_oracle(p, q, k, enumerate_triplets(descent_generators(p, q, k)))
+            for p, q, k in curves
+        )
+        assert checked > 2500
+
+    def test_drawn_curves_match_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        seen = {"obstructed": 0, "kept": 0}
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(
+            st.integers(1, 40),
+            st.integers(1, 40),
+            st.integers(1, 300),
+            st.randoms(use_true_random=False),
+        )
+        def check(p, q, k, rnd):
+            hypothesis.assume(math.gcd(p, q) == 1 and squarefree_part(k)[0] == k)
+            group = class_group(descent_generators(p, q, k))
+            positives = [g for g in group if g > 0]
+            triplets = []
+            for _ in range(4):
+                a, b = rnd.choice(positives), rnd.choice(group)
+                triplets.append(DescentTriplet(a, b, class_mul(a, b)))
+            assert self._assert_matches_oracle(p, q, k, triplets) > 0
+            local = LocalImages(p, q, k)
+            for t in triplets:
+                seen["obstructed" if local.obstructions(t) else "kept"] += 1
+
+        check()
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize("pool", ["sweep", "largek"])
+    def test_every_image_is_filled(self, pool):
+        if pool == "sweep":
+            curves = _searched_sweep_curves()
+        else:
+            pool_file = Path(__file__).resolve().parents[1] / "perfbench" / "largek_pool.json"
+            groups = json.loads(pool_file.read_text())["groups"]
+            curves = [tuple(member[:3]) for g in groups for member in g["members"]]
+        primes = 0
+        for p, q, k in curves:
+            local = LocalImages(p, q, k)
+            assert sorted(local.conditions) == [g for g in local.generators if g > 1], (p, q, k)
+            primes += len(local.conditions)
+        assert primes == {"sweep": 83, "largek": 86}[pool]
+
+    def test_kept_classes_are_legendre_survivors(self):
+        # a class with a point over every Q_ell has one on each quadric, which
+        # then has a real point too (Hilbert reciprocity): so it passes the
+        # Legendre filter.  Every classify request of the benchmark.
+        for count in (3, 4):
+            for primes in itertools.combinations((17, 19, 23, 29, 31, 37, 41, 43, 47), count):
+                k = math.prod(primes)
+                local = LocalImages(1, 1, k)
+                cls = classify(1, 1, k)
+                verdicts = [(t, ok) for c in cls.classes for t, ok, _ in c["verdicts"]]
+                kept = [ok for t, ok in verdicts if not local.obstructions(t)]
+                assert kept and all(kept), k
+
+    def test_every_hit_is_kept(self):
+        # each Legendre survivor searched on its own, with no pruning
+        ladder = cli._cap_ladder(300)
+        hits = 0
+        for p, q, k in _searched_sweep_curves():
+            curve = ConcordantCurve.from_pqk(p, q, k)
+            local = LocalImages(p, q, k)
+            for c in classify(p, q, k).surviving_classes:
+                t = c["representative"]
+                try:
+                    cli.search_curve(curve, [t], ladder)
+                except EffortExhausted:
+                    continue
+                assert not local.obstructions(t), (p, q, k, t)
+                hits += 1
+        assert hits == 36
+        for row in cli.run_series("theta96", 200):
+            local = LocalImages(*(int(row[v]) for v in "pqk"))
+            assert row["status"] == "ok"
+            assert not local.obstructions(DescentTriplet(*map(int, row["triplet"].split(";"))))
+
+    def test_k127_keeps_one_class(self):
+        local = LocalImages(1, 1, 127)
+        reps = [c["representative"] for c in classify(1, 1, 127).surviving_classes]
+        assert [t.as_tuple() for t in reps] == [(1, 2, 2), (1, -127, -127), (1, -254, -254)]
+        assert [local.obstructions(t) for t in reps] == [[2], [], [2]]
+
+    def test_curve_with_no_kept_class_is_exhausted_at_once(self, monkeypatch):
+        # (1, 1, 5483): all three Legendre survivors fail at 2
+        searched = []
+        real = cli.search_curve
+
+        def recording(curve, triplets, *args, **kwargs):
+            searched.append(list(triplets))
+            return real(curve, triplets, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "search_curve", recording)
+        rows = cli._curve_rows("cong5", 300, (1, 1, 5483))
+        first = classify(1, 1, 5483).surviving_classes[0]["representative"]
+        assert searched == [[]]
+        assert [(r["triplet"], r["status"]) for r in rows] == [
+            (";".join(map(str, first.as_tuple())), "exhausted")
+        ]
+
+    def test_local_class_is_a_homomorphism(self):
+        for ell in (2, 3, 5, 7, 127):
+            for x, y in itertools.product(range(-40, 41), repeat=2):
+                if x and y:
+                    assert local_class(x * y, ell) == local_class(x, ell) ^ local_class(y, ell)
+            squares = {local_class(x * x, ell) for x in range(1, 200)}
+            assert squares == {0}
+
+    def test_span_above_its_dimension_raises(self):
+        # three independent "torsion" images at 5: the classes 5 and 2 (a
+        # non-residue) in the first slot and 5 in the second
+        with pytest.raises(VerificationFailure, match="more than 2"):
+            local_image(5, 5, -5, [(5, 1, 5), (2, 1, 2), (1, 5, 5)])

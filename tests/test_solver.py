@@ -34,6 +34,7 @@ from concordant.integers import (
 from concordant.quadforms import TernaryForm, compose_quartic, find_conic_point, parametrize_conic
 from concordant.solver import (
     SIEVE_PRIMES,
+    _row_primes,
     ScanRound,
     StagePins,
     extended_square_factors,
@@ -237,11 +238,11 @@ class TestMiddleStages:
 
     def test_square_factor_candidates(self):
         _, _, psi = pinned_chain_psi()
-        assert square_factor_candidates(-9088, psi) == [-1, -71]
+        assert square_factor_candidates(-9088, psi, _row_primes(psi)) == [-1, -71]
 
     def test_candidates_divide_core(self):
         _, _, psi = pinned_chain_psi()
-        for mu in square_factor_candidates(-9088, psi):
+        for mu in square_factor_candidates(-9088, psi, _row_primes(psi)):
             assert 142 % abs(mu) == 0
 
     def test_scaled_conics(self):
@@ -271,8 +272,9 @@ class TestCoprimePattern:
                     if search.cross_term:
                         primes |= set(factorize(squarefree_part(search.cross_term)[0]).primes())
                     for mu in signed_divisors(sorted(primes)):
+                        mu_primes = factorize(abs(mu)).primes()
                         assert concordant.solver._coprime_pattern_ok(
-                            psi, mu
+                            psi, mu, mu_primes
                         ) == oracle_coprime_pattern_ok(psi, mu), (family, k, mu)
                         checked += 1
         assert checked > 500
@@ -288,9 +290,9 @@ class TestCoprimePattern:
         def check(r0, r1, mu_primes, sign):
             psi = SimpleNamespace(rows=(r0, r1, (0, 0, 0)))
             mu = sign * math.prod(mu_primes)
-            assert concordant.solver._coprime_pattern_ok(psi, mu) == oracle_coprime_pattern_ok(
-                psi, mu
-            )
+            assert concordant.solver._coprime_pattern_ok(
+                psi, mu, mu_primes
+            ) == oracle_coprime_pattern_ok(psi, mu)
 
         check()
 
@@ -337,10 +339,10 @@ class TestSquareFactorTable:
         for psi in psis:
             cross = kernel_cross_term(parameter_kernel(psi), psi)
             if cross:
-                candidates = square_factor_candidates(cross, psi)
+                candidates = square_factor_candidates(cross, psi, _row_primes(psi))
                 assert candidates == _oracle_candidates(cross, psi), psi.rows
                 kept += len(candidates)
-            completion = extended_square_factors(psi)
+            completion = extended_square_factors(psi, _row_primes(psi))
             assert completion == _oracle_completion(psi), psi.rows
             kept += len(completion)
         return len(psis), kept
@@ -377,11 +379,12 @@ class TestSquareFactorTable:
         @hypothesis.given(row, row, primes, st.lists(st.integers(1, 3), min_size=5, max_size=5))
         def check(r0, r1, mu_primes, exponents):
             psi = SimpleNamespace(rows=(r0, r1, (0, 0, 0)))
-            got = concordant.solver._solvable_square_factors(psi, mu_primes)
+            got = concordant.solver._solvable_square_factors(psi, mu_primes, _row_primes(psi))
             expected = [mu for mu in signed_divisors(mu_primes) if oracle_rows_solvable(psi, mu)]
             assert got == expected
             cross = -math.prod(p**e for p, e in zip(mu_primes, exponents))
-            assert square_factor_candidates(cross, psi) == _oracle_candidates(cross, psi)
+            candidates = square_factor_candidates(cross, psi, _row_primes(psi))
+            assert candidates == _oracle_candidates(cross, psi)
             seen["disc0"] += any(r[1] ** 2 == 4 * r[0] * r[2] for r in (r0, r1))
             seen["two"] += 2 in mu_primes
             seen["content"] += any(math.gcd(*r) > 1 for r in (r0, r1))
