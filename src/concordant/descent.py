@@ -231,6 +231,8 @@ class SquareClasses:
         vec = self._vectors.get(value)
         if vec is not None:
             return vec
+        if value == 0:
+            raise InvalidArgument("0 has no square class")
         vec = self._neg if value < 0 else 0
         rest = abs(value)
         for bit, p in self._primes:
@@ -252,6 +254,19 @@ class SquareClasses:
                     value *= p
             self._values[vec] = value
         return value
+
+    def reduced(self, x: int, y: int, z: int) -> tuple[int, int, int]:
+        """The vectors of x*X^2 + y*Y^2 + z*Z^2 reduced as `reduce_to_legendre`
+        reduces the form: the first coefficient turns positive, as in
+        `primitive_normalize`, and `reduced_parities` moves a prime in two
+        coefficients to the third.  Dividing out content only complements a
+        prime's pattern, which the rule maps to the same parities, so it
+        needs no step here."""
+        neg = self._neg
+        if x & neg:
+            x, y, z = x ^ neg, y ^ neg, z ^ neg
+        rx, ry, rz = reduced_parities(x & ~neg, y & ~neg, z & ~neg)
+        return rx | x & neg, ry | y & neg, rz | z & neg
 
     def passes(self, x: int, y: int, z: int) -> bool:
         """The criterion for x*X^2 + y*Y^2 + z*Z^2 on reduced vectors (prime
@@ -284,10 +299,8 @@ class SolvabilityTable(SquareClasses):
         self._m, self._n, self._d = self.vector(m), self.vector(n), self.vector(m - n)
 
     def verdict(self, t: DescentTriplet) -> tuple[bool, str]:
-        """(verdict, evidence) for one triplet, as in `triplet_solvable`.
-        Each quadric is reduced on its parity bitmasks through
-        `reduced_parities`, as `reduce_to_legendre` reduces it: a prime in
-        one coefficient stays, a prime in two moves to the third."""
+        """(verdict, evidence) for one triplet, as in `triplet_solvable`:
+        each quadric's parity bitmasks go through `reduced`."""
         va, vb, vc = self.vector(t.a), self.vector(t.b), self.vector(t.c)
         vm, vn, vd, neg = self._m, self._n, self._d, self._neg
         # build_homogeneous_space's coefficients, in HomogeneousSpace.quadrics order
@@ -297,15 +310,8 @@ class SolvabilityTable(SquareClasses):
             ("e_b", vb, neg ^ vc, vn),
             ("e_c", va, neg ^ vc, neg ^ vd),
         )
-        prime_bits = ~neg
         for name, x, y, z in quadrics:
-            if x & neg:
-                # primitive_normalize: the first coefficient turns positive
-                x, y, z = x ^ neg, y ^ neg, z ^ neg
-            # dividing out content only complements a prime's pattern, which
-            # the rule maps to the same parities, so it needs no step here
-            rx, ry, rz = reduced_parities(x & prime_bits, y & prime_bits, z & prime_bits)
-            x, y, z = rx | x & neg, ry | y & neg, rz | z & neg
+            x, y, z = self.reduced(x, y, z)
             if not self.passes(x, y, z):
                 reduced = (self.value(x), self.value(y), self.value(z))
                 return False, f"{name} reduces to {reduced}: criterion fails"
@@ -318,6 +324,8 @@ def local_class(value: int, ell: int) -> int:
     the unit part is a non-residue mod ell, and at ell = 2 bits 1 and 2 are
     set when the unit part is 3 mod 4 and when it is 3 or 5 mod 8.  The map
     is a homomorphism onto F2^2, or F2^3 at 2."""
+    if value == 0:
+        raise InvalidArgument("0 has no square class")
     v = 0
     while value % ell == 0:
         value //= ell
@@ -333,44 +341,49 @@ def _class_width(ell: int) -> int:
     return 3 if ell == 2 else 2
 
 
+def _reduce(v: int, basis: list[int]) -> int:
+    # v modulo the span of a basis kept in decreasing order of leading bit
+    for b in basis:
+        v = min(v, v ^ b)
+    return v
+
+
 # the points x = a*ell^v tried, beyond the 2-torsion, for a local image:
 # ell does not divide a, 1 <= |a| <= _POINT_UNITS and |v| <= _POINT_SHIFTS
 _POINT_UNITS = 64
 _POINT_SHIFTS = 6
 
 
-def local_image(ell: int, m: int, n: int, columns) -> Optional[list[int]]:
+def local_image(ell: int, m: int, n: int) -> Optional[list[int]]:
     """A basis of delta_ell(E(Q_ell)) for E: y^2 = x(x + m)(x + n), or None
     when the bounded point search below does not fill it.  delta maps a
     point to the classes of (x + m, x) packed as `local_class(x + m) |
     local_class(x) << w`, w the width of a class.  E has full rational
-    2-torsion, so E(Q_ell)/2E(Q_ell) has dimension 2 at an odd ell and 3 at
-    ell = 2, and delta is injective on it (Silverman, AEC, Prop. X.1.4).
-    The span starts from the 2-torsion images, the (x + m, x, x + n) class
-    `columns` of `torsion_value_table`, and takes the rational points
-    x = a*ell^v with x(x + m)(x + n) an ell-adic square until it has that
-    dimension.  A larger span is a VerificationFailure."""
+    2-torsion, so E(Q_ell)/2E(Q_ell) has dimension w, 2 at an odd ell and 3
+    at ell = 2, and delta is injective on it (Silverman, AEC, Prop. X.1.4).
+    The span starts from the 2-torsion points x = 0, -m, -n, where the
+    value that vanishes is replaced by the product of the other two, and
+    takes the rational points x = a*ell^v with x(x + m)(x + n) an ell-adic
+    square until it has that dimension.  A larger span is a
+    VerificationFailure."""
     width = _class_width(ell)
-    dimension = 3 if ell == 2 else 2
     basis: list[int] = []
 
     def add(v: int) -> bool:
-        # True once the span has its dimension; the basis is kept in
-        # decreasing order of leading bit, so this reduces v modulo the span
-        for b in basis:
-            v = min(v, v ^ b)
+        # True once the span has its dimension
+        v = _reduce(v, basis)
         if v:
             basis.append(v)
             basis.sort(reverse=True)
-            if len(basis) > dimension:
+            if len(basis) > width:
                 raise VerificationFailure(
-                    f"local image at {ell} of ({m}, {n}) spans more than {dimension} dimensions"
+                    f"local image at {ell} of ({m}, {n}) spans more than {width} dimensions"
                 )
-        return len(basis) == dimension
+        return len(basis) == width
 
-    for c0, c1, _ in columns:
-        add(local_class(c0, ell) | local_class(c1, ell) << width)
-    if len(basis) == dimension:
+    for xm, x in ((m, m * n), (m * (m - n), -m), (m - n, -n)):
+        add(local_class(xm, ell) | local_class(x, ell) << width)
+    if len(basis) == width:
         return basis
     for a in range(1, _POINT_UNITS + 1):
         if a % ell == 0:
@@ -392,49 +405,30 @@ def local_image(ell: int, m: int, n: int, columns) -> Optional[list[int]]:
     return None
 
 
-class LocalImages(SquareClasses):
+class LocalImages:
     """The local conditions of the complete 2-descent of y^2 = x(x + pk)(x - qk):
     a class (A, B, C) has a point over Q_ell only when (A, B) lies in
     `local_image(ell, ...)`, for every ell in {2} and the primes of
-    m*n*(m - n), which are the positive generators.  An image W is the
-    common kernel of the linear forms h on pairs of local classes with
-    h . w = 0 for all w in W; each generator's local class is tabulated
-    once, so each form becomes one mask on the exponent vector of A and one
-    on that of B, and a class is tested with ANDs and parities.  A prime
-    whose image the point search does not fill imposes no condition."""
+    m*n*(m - n), which are the positive generators.  A prime whose image
+    the point search does not fill imposes no condition."""
 
     def __init__(self, p: int, q: int, k: int):
-        super().__init__(descent_generators(p, q, k))
-        columns = torsion_columns(torsion_value_table(p, q, k))
-        # ell -> the (mask on A, mask on B) of each nonzero form that
-        # vanishes on the image; only the primes whose image is filled
-        self.conditions: dict[int, list[tuple[int, int]]] = {}
-        for ell in self.generators:
+        # ell -> the basis of its image; only the primes whose image is filled
+        self.images: dict[int, list[int]] = {}
+        for ell in descent_generators(p, q, k):
             if ell < 2:
                 continue
-            basis = local_image(ell, p * k, -q * k, columns)
-            if basis is None:
-                continue
-            width = _class_width(ell)
-            classes = [local_class(g, ell) for g in self.generators]
-
-            def mask(h: int) -> int:
-                # generator bits whose local class h pairs to 1
-                return sum(1 << i for i, c in enumerate(classes) if (h & c).bit_count() & 1)
-
-            self.conditions[ell] = [
-                (mask(h & (1 << width) - 1), mask(h >> width))
-                for h in range(1, 1 << 2 * width)
-                if not any((h & w).bit_count() & 1 for w in basis)
-            ]
+            basis = local_image(ell, p * k, -q * k)
+            if basis is not None:
+                self.images[ell] = basis
 
     def obstructions(self, t: DescentTriplet) -> list[int]:
-        """The primes, ascending, over which the class of t has no point."""
-        va, vb = self.vector(t.a), self.vector(t.b)
+        """The primes, ascending, over which the class of t has no point:
+        those where (A, B) reduces to nonzero modulo the image."""
         return [
             ell
-            for ell, forms in self.conditions.items()
-            if any(((va & ma).bit_count() ^ (vb & mb).bit_count()) & 1 for ma, mb in forms)
+            for ell, basis in self.images.items()
+            if _reduce(local_class(t.a, ell) | local_class(t.b, ell) << _class_width(ell), basis)
         ]
 
 

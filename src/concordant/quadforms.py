@@ -1,10 +1,10 @@
 """Ternary quadratic forms a00*X0^2 + a01*X0*X1 + a11*X1^2 + a22*X2^2.
 
 Covers reduction to a squarefree pairwise-coprime diagonal ("Legendre") form,
-the classical solvability criterion, a bounded exhaustive point search, the
-projection parametrization of a conic from a known point, and the binary
-quartic composition of a binary quadratic form with two rows of such a
-parametrization.
+the classical solvability criterion, the smallest point in the Holzer box by
+a search of LLL-reduced congruence lattices, the projection parametrization
+of a conic from a known point, and the binary quartic composition of a
+binary quadratic form with two rows of such a parametrization.
 """
 
 from __future__ import annotations

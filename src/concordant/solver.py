@@ -41,7 +41,6 @@ from .quadforms import (
     compose_quartic,
     find_conic_point,
     parametrize_conic,
-    reduced_parities,
     zero_coordinate_point,
 )
 
@@ -437,14 +436,7 @@ def _solvable_square_factors(
     if 0 in discs:
         return []
     squares = SquareClasses(sorted({-1, *primes, *row_primes}))
-    neg = squares.vector(-1)
     fixed = [(squares.vector(-disc), squares.vector(-row[0])) for row, disc in zip(rows, discs)]
-
-    def passes(y: int, z: int) -> bool:
-        # (1, y, z) reduced: a prime of both y and z moves to the first class
-        x, ry, rz = reduced_parities(0, y & ~neg, z & ~neg)
-        return squares.passes(x, ry | y & neg, rz | z & neg)
-
     cores = [1]
     for p in primes:
         cores += [c * p for c in cores]
@@ -452,7 +444,7 @@ def _solvable_square_factors(
         mu
         for d in sorted(cores)
         for mu in (d, -d)
-        if all(passes(y, z ^ squares.vector(mu)) for y, z in fixed)
+        if all(squares.passes(*squares.reduced(0, y, z ^ squares.vector(mu))) for y, z in fixed)
     ]
 
 

@@ -6,9 +6,14 @@ import pytest
 
 from concordant.descent import (
     DescentTriplet,
+    SquareClasses,
     build_homogeneous_space,
+    descent_generators,
     lift_solution,
+    local_class,
+    local_image,
     torsion_columns,
+    torsion_value_table,
 )
 from concordant.errors import (
     DegenerateForm,
@@ -408,6 +413,52 @@ def oracle_local_point(t, m: int, n: int, p: int) -> bool:
         (b * y * y + m * d * d) % mod in a_values and (b * y * y + n * d * d) % mod in c_values
         for y, d in pairs
     )
+
+
+def oracle_obstructions(p: int, q: int, k: int, triplets) -> list[list[int]]:
+    """The mask test the span reduction replaced: for each triplet, the
+    primes, ascending, over which its class has no point.  A filled local
+    image W is the common kernel of the linear forms h on pairs of local
+    classes with h . w = 0 for all w in W; W is spanned by `local_image`'s
+    basis and the 2-torsion columns of `torsion_value_table`, and it has
+    2^w - 1 such forms exactly when those columns lie in the basis's span.
+    Each generator's local class is tabulated once, so a form becomes one
+    mask on the exponent vector of A and one on that of B."""
+    generators = descent_generators(p, q, k)
+    squares = SquareClasses(generators)
+    columns = torsion_columns(torsion_value_table(p, q, k))
+    conditions = {}
+    for ell in generators:
+        if ell < 2:
+            continue
+        basis = local_image(ell, p * k, -q * k)
+        if basis is None:
+            continue
+        width = 3 if ell == 2 else 2
+        span = basis + [local_class(c0, ell) | local_class(c1, ell) << width for c0, c1, _ in columns]
+        classes = [local_class(g, ell) for g in generators]
+
+        def mask(h: int) -> int:
+            # generator bits whose local class h pairs to 1
+            return sum(1 << i for i, c in enumerate(classes) if (h & c).bit_count() & 1)
+
+        conditions[ell] = [
+            (mask(h & (1 << width) - 1), mask(h >> width))
+            for h in range(1, 1 << 2 * width)
+            if not any((h & w).bit_count() & 1 for w in span)
+        ]
+        assert len(conditions[ell]) == 2**width - 1, (p, q, k, ell)
+    out = []
+    for t in triplets:
+        va, vb = squares.vector(t.a), squares.vector(t.b)
+        out.append(
+            [
+                ell
+                for ell, forms in conditions.items()
+                if any(((va & ma).bit_count() ^ (vb & mb).bit_count()) & 1 for ma, mb in forms)
+            ]
+        )
+    return out
 
 
 def oracle_torsion_equivalence_classes(triplets, table):

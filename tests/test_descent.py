@@ -5,14 +5,20 @@ import random
 from pathlib import Path
 
 import pytest
-from conftest import oracle_local_point, oracle_torsion_equivalence_classes, oracle_triplet_solvable
+from conftest import (
+    oracle_local_point,
+    oracle_obstructions,
+    oracle_torsion_equivalence_classes,
+    oracle_triplet_solvable,
+)
 
-from concordant import cli
+from concordant import cli, descent
 from concordant.curves import ConcordantCurve, CurvePoint
 from concordant.descent import (
     DescentTriplet,
     LocalImages,
     SolvabilityTable,
+    SquareClasses,
     build_homogeneous_space,
     class_group,
     class_mul,
@@ -284,6 +290,10 @@ class TestSolvabilityTable:
         with pytest.raises(DegenerateForm):
             triplet_solvable(t, m, n)
 
+    def test_vector_of_zero_raises(self):
+        with pytest.raises(InvalidArgument, match="0 has no square class"):
+            SquareClasses([-1, 2, 3]).vector(0)
+
 
 class TestHomogeneousSpace:
     def test_n142_space(self):
@@ -390,6 +400,14 @@ def _searched_sweep_curves():
     return [c for f in ("cong5", "cong7", "twice7", "theta5") for c in cli._family_curves(f, 200)]
 
 
+def _pool_curves(pool):
+    if pool == "sweep":
+        return _searched_sweep_curves()
+    pool_file = Path(__file__).resolve().parents[1] / "perfbench" / "largek_pool.json"
+    groups = json.loads(pool_file.read_text())["groups"]
+    return [tuple(member[:3]) for g in groups for member in g["members"]]
+
+
 # odd primes small enough for the brute-force oracle
 _ORACLE_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -404,7 +422,7 @@ class TestLocalImages:
         checked = 0
         for t in triplets:
             obstructions = local.obstructions(t)
-            for ell in local.conditions:
+            for ell in local.images:
                 if ell in _ORACLE_PRIMES:
                     has_point = oracle_local_point(t, m, n, ell)
                     assert (ell not in obstructions) == has_point, (p, q, k, t, ell)
@@ -450,18 +468,27 @@ class TestLocalImages:
 
     @pytest.mark.parametrize("pool", ["sweep", "largek"])
     def test_every_image_is_filled(self, pool):
-        if pool == "sweep":
-            curves = _searched_sweep_curves()
-        else:
-            pool_file = Path(__file__).resolve().parents[1] / "perfbench" / "largek_pool.json"
-            groups = json.loads(pool_file.read_text())["groups"]
-            curves = [tuple(member[:3]) for g in groups for member in g["members"]]
         primes = 0
-        for p, q, k in curves:
+        for p, q, k in _pool_curves(pool):
             local = LocalImages(p, q, k)
-            assert sorted(local.conditions) == [g for g in local.generators if g > 1], (p, q, k)
-            primes += len(local.conditions)
+            generators = descent_generators(p, q, k)
+            assert sorted(local.images) == [g for g in generators if g > 1], (p, q, k)
+            primes += len(local.images)
         assert primes == {"sweep": 83, "largek": 86}[pool]
+
+    @pytest.mark.parametrize("pool", ["sweep", "largek"])
+    def test_obstructions_match_mask_oracle(self, pool):
+        # every triplet at every prime, beyond the primes the brute-force
+        # oracle reaches
+        seen = {"obstructed": 0, "kept": 0}
+        for p, q, k in _pool_curves(pool):
+            local = LocalImages(p, q, k)
+            triplets = enumerate_triplets(descent_generators(p, q, k))
+            got = [local.obstructions(t) for t in triplets]
+            assert got == oracle_obstructions(p, q, k, triplets), (p, q, k)
+            for primes in got:
+                seen["obstructed" if primes else "kept"] += 1
+        assert min(seen.values()) > 0, seen
 
     def test_kept_classes_are_legendre_survivors(self):
         # a class with a point over every Q_ell has one on each quadric, which
@@ -528,8 +555,16 @@ class TestLocalImages:
             squares = {local_class(x * x, ell) for x in range(1, 200)}
             assert squares == {0}
 
-    def test_span_above_its_dimension_raises(self):
-        # three independent "torsion" images at 5: the classes 5 and 2 (a
-        # non-residue) in the first slot and 5 in the second
+    def test_local_class_of_zero_raises(self):
+        for ell in (2, 3):
+            with pytest.raises(InvalidArgument, match="0 has no square class"):
+                local_class(0, ell)
+
+    def test_span_above_its_dimension_raises(self, monkeypatch):
+        # a class map that is not a homomorphism sends the 2-torsion pairs
+        # (5, -25), (50, -5) and (10, 5) of (m, n) = (5, -5) to the three
+        # independent images 1, 2 and 1 << 2
+        classes = {5: 1, -25: 0, 50: 2, -5: 0, 10: 0}
+        monkeypatch.setattr(descent, "local_class", lambda value, ell: classes[value])
         with pytest.raises(VerificationFailure, match="more than 2"):
-            local_image(5, 5, -5, [(5, 1, 5), (2, 1, 2), (1, 5, 5)])
+            local_image(5, 5, -5)
