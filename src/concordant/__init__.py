@@ -8,10 +8,7 @@ from .descent import (
     HomogeneousSpace,
     build_homogeneous_space,
     descent_generators,
-    enumerate_triplets,
     lift_solution,
-    torsion_equivalence_classes,
-    torsion_value_table,
     triplet_solvable,
 )
 from .integers import (

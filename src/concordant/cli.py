@@ -427,6 +427,12 @@ def run_verify(args) -> dict:
     report = {"command": "verify", "checks": []}
     if args.weierstrass:
         a2, a4, a6 = _parse_list("--weierstrass", args.weierstrass, 3)
+        # the discriminant of x^3 + a2*x^2 + a4*x + a6, up to the factor 16
+        disc = a2 * a2 * a4 * a4 - 4 * a4**3 - 4 * a2**3 * a6 - 27 * a6 * a6 + 18 * a2 * a4 * a6
+        if disc == 0:
+            raise InvalidArgument(
+                f"--weierstrass {a2},{a4},{a6} has zero discriminant: the cubic is singular"
+            )
         if not args.point:
             raise InvalidArgument("--weierstrass needs --point")
         x, y = _parse_list("--point", args.point, 2, Fraction)

@@ -1,32 +1,26 @@
 """2-descent bookkeeping for y^2 = x(x + pk)(x - qk).
 
-Square classes, the finite class group generated by the bad primes, triplets
-(A, B, C) indexing homogeneous spaces (with A*B*C a perfect square and A > 0),
-the action of the 2-torsion points on triplets, the solvability filter
-decided from a per-curve table of Legendre symbols, the local images of the
-2-descent map that decide which classes have a point over every Q_ell,
-construction of the four three-variable quadrics of a homogeneous space, and
-lifting of solutions back to curve points.
+Square classes of the finite group generated by the bad primes, as F2
+exponent vectors; triplets (A, B, C) indexing homogeneous spaces (with A*B*C
+a perfect square and A > 0), on whose vectors the 2-torsion points act by
+XOR with `torsion_images`; the solvability filter decided from a per-curve
+table of Legendre symbols; the local images of the 2-descent map that decide
+which classes have a point over every Q_ell; construction of the four
+three-variable quadrics of a homogeneous space; and lifting of solutions
+back to curve points.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .curves import ConcordantCurve, CurvePoint, class_of
+from .curves import ConcordantCurve, CurvePoint
 from .errors import DegenerateForm, InvalidArgument, VerificationFailure
 from .integers import factorize, is_perfect_square, primitive_normalize, squarefree_part
 from .quadforms import TernaryForm, reduced_parities
-
-
-def class_mul(u: int, v: int) -> int:
-    """Product of two square classes (squarefree representatives)."""
-    g = math.gcd(u, v)
-    return (u // g) * (v // g)
 
 
 @dataclass(frozen=True, order=True)
@@ -47,11 +41,6 @@ class DescentTriplet:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
-
-    def act(self, cls: tuple[int, int, int]) -> "DescentTriplet":
-        return DescentTriplet(
-            class_mul(self.a, cls[0]), class_mul(self.b, cls[1]), class_mul(self.c, cls[2])
-        )
 
     def sort_key(self):
         return (abs(self.a), abs(self.b), abs(self.c), self.b < 0, self.c < 0)
@@ -77,82 +66,12 @@ def descent_generators(p: int, q: int, k: int) -> list[int]:
     return sorted(gens)
 
 
-def class_group(generators: list[int]) -> list[int]:
-    """All squarefree products of subsets of the generators."""
-    out = []
-    for mask in itertools.product((0, 1), repeat=len(generators)):
-        v = 1
-        for bit, g in zip(mask, generators):
-            if bit:
-                v = class_mul(v, g)
-        out.append(v)
-    return sorted(set(out), key=lambda v: (abs(v), v < 0))
-
-
-def enumerate_triplets(generators: list[int]) -> list[DescentTriplet]:
-    """Every (A, B, sf(A*B)) with A > 0 ranging over the class group."""
-    group = class_group(generators)
-    positives = [g for g in group if g > 0]
-    out = []
-    for a in positives:
-        for b in group:
-            out.append(DescentTriplet(a, b, class_mul(a, b)))
-    return out
-
-
-def torsion_value_table(p: int, q: int, k: int) -> tuple[tuple[int, int, int], ...]:
-    """3x3 table of square classes: rows follow the three coordinate maps
-    (values x+pk, x, x-qk), columns the 2-torsion points (-pk,0), (0,0),
-    (qk,0)."""
-    rows = (
-        (p * (p + q), p * k, (p + q) * k),
-        (-p * k, -p * q, q * k),
-        (-(p + q) * k, -q * k, q * (p + q)),
-    )
-    return tuple(tuple(class_of(v) for v in row) for row in rows)
-
-
-def torsion_columns(table) -> list[tuple[int, int, int]]:
-    return [tuple(table[i][j] for i in range(3)) for j in range(3)]
-
-
-def torsion_equivalence_classes(
-    triplets: list[DescentTriplet], table, generators: list[int]
-) -> list[list[DescentTriplet]]:
-    """Partition into orbits under componentwise multiplication by the table
-    columns; classes and members are ordered deterministically.  Every value
-    must be a signed product of `generators`: the orbits are taken on the
-    exponent vectors of the three classes packed into one int, where
-    multiplying by a column is one XOR."""
-    squares = SquareClasses(generators)
-    width = len(generators)
-    mask = (1 << width) - 1
-
-    def packed(a, b, c):
-        return squares.vector(a) | squares.vector(b) << width | squares.vector(c) << 2 * width
-
-    def unpacked(v):
-        return (squares.value(v >> shift & mask) for shift in (0, width, 2 * width))
-
-    columns = [packed(*col) for col in torsion_columns(table)]
-    by_vector: dict[int, DescentTriplet] = {}
-    for t in sorted(triplets, key=DescentTriplet.sort_key):
-        by_vector.setdefault(packed(t.a, t.b, t.c), t)
-    seen: set[int] = set()
-    out = []
-    for v in by_vector:
-        if v in seen:
-            continue
-        orbit = {v, v ^ columns[0], v ^ columns[1], v ^ columns[2]}
-        seen |= orbit
-        # an image outside `triplets` is built, as multiplying would build it
-        members = [by_vector.get(w) or DescentTriplet(*unpacked(w)) for w in orbit]
-        out.append(sorted(members, key=DescentTriplet.sort_key))
-    return out
-
-
-def class_representative(cls: list[DescentTriplet]) -> DescentTriplet:
-    return min(cls, key=DescentTriplet.sort_key)
+def torsion_images(m: int, n: int) -> tuple[tuple[int, int, int], ...]:
+    """The values (x + m, x, x + n) of the 2-torsion points x = 0, -m, -n of
+    y^2 = x(x + m)(x + n), with the value that vanishes replaced by the
+    product of the other two: each is a triplet up to squares, and a
+    torsion point acts on the descent classes by multiplying by it."""
+    return ((m, m * n, n), (m * (m - n), -m, n - m), (m - n, -n, -n * (m - n)))
 
 
 @dataclass(frozen=True)
@@ -361,10 +280,9 @@ def local_image(ell: int, m: int, n: int) -> Optional[list[int]]:
     local_class(x) << w`, w the width of a class.  E has full rational
     2-torsion, so E(Q_ell)/2E(Q_ell) has dimension w, 2 at an odd ell and 3
     at ell = 2, and delta is injective on it (Silverman, AEC, Prop. X.1.4).
-    The span starts from the 2-torsion points x = 0, -m, -n, where the
-    value that vanishes is replaced by the product of the other two, and
-    takes the rational points x = a*ell^v with x(x + m)(x + n) an ell-adic
-    square until it has that dimension.  A larger span is a
+    The span starts from the (x + m, x) of the 2-torsion `torsion_images`
+    and takes the rational points x = a*ell^v with x(x + m)(x + n) an
+    ell-adic square until it has that dimension.  A larger span is a
     VerificationFailure."""
     width = _class_width(ell)
     basis: list[int] = []
@@ -381,7 +299,7 @@ def local_image(ell: int, m: int, n: int) -> Optional[list[int]]:
                 )
         return len(basis) == width
 
-    for xm, x in ((m, m * n), (m * (m - n), -m), (m - n, -n)):
+    for xm, x, _ in torsion_images(m, n):
         add(local_class(xm, ell) | local_class(x, ell) << width)
     if len(basis) == width:
         return basis
@@ -471,25 +389,48 @@ class Classification:
 
 
 def classify(p: int, q: int, k: int) -> Classification:
+    """Every triplet (A, B, A*B) with A > 0, partitioned into 2-torsion
+    orbits with a verdict per member.  A triplet is keyed by the vectors of
+    A and B, `A | B << width`, so a torsion point acts on keys by one XOR;
+    members and classes follow `DescentTriplet.sort_key`, a class by its
+    first member."""
     m, n = p * k, -q * k
     generators = descent_generators(p, q, k)
-    triplets = enumerate_triplets(generators)
-    table = torsion_value_table(p, q, k)
-    solvability = SolvabilityTable(generators, m, n)
-    unit = DescentTriplet(1, 1, 1)
+    table = SolvabilityTable(generators, m, n)
+    width = len(generators)
+    mask = (1 << width) - 1
+    values = [table.value(v) for v in range(1 << width)]
+
+    def triplet(key: int) -> DescentTriplet:
+        a, b = key & mask, key >> width
+        return DescentTriplet(values[a], values[b], values[a ^ b])
+
+    # sort_key order: A ascending, then B by absolute value and sign, as -B
+    # has the C of opposite sign and equal absolute value
+    order = sorted(range(1 << width), key=lambda v: (abs(values[v]), values[v] < 0))
+    keys = (a | b << width for a in order if values[a] > 0 for b in order)
+    by_key = {key: triplet(key) for key in keys}
+    moves = [table.vector(a) | table.vector(b) << width for a, b, _ in torsion_images(m, n)]
+    seen: set[int] = set()
     classes = []
-    for members in torsion_equivalence_classes(triplets, table, generators):
-        verdicts = [(t, *solvability.verdict(t)) for t in members]
+    for key in by_key:
+        if key in seen:
+            continue
+        orbit = {key, *(key ^ move for move in moves)}
+        seen |= orbit
+        # an image with A < 0, when m or m - n is negative, raises in triplet
+        members = sorted((by_key.get(w) or triplet(w) for w in orbit), key=DescentTriplet.sort_key)
+        verdicts = [(t, *table.verdict(t)) for t in members]
         classes.append(
             {
                 "members": members,
-                "representative": class_representative(members),
-                "is_torsion_class": unit in members,
+                "representative": members[0],
+                "is_torsion_class": 0 in orbit,
                 "verdicts": verdicts,
                 "survives": all(ok for _, ok, _ in verdicts),
             }
         )
-    return Classification(p, q, k, generators, 2 ** len(generators), triplets, classes)
+    return Classification(p, q, k, generators, 2**width, list(by_key.values()), classes)
 
 
 def lift_solution(

@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from concordant.curves import class_of
 from concordant.descent import (
     DescentTriplet,
     SquareClasses,
@@ -12,8 +14,6 @@ from concordant.descent import (
     lift_solution,
     local_class,
     local_image,
-    torsion_columns,
-    torsion_value_table,
 )
 from concordant.errors import (
     DegenerateForm,
@@ -420,13 +420,14 @@ def oracle_obstructions(p: int, q: int, k: int, triplets) -> list[list[int]]:
     primes, ascending, over which its class has no point.  A filled local
     image W is the common kernel of the linear forms h on pairs of local
     classes with h . w = 0 for all w in W; W is spanned by `local_image`'s
-    basis and the 2-torsion columns of `torsion_value_table`, and it has
-    2^w - 1 such forms exactly when those columns lie in the basis's span.
+    basis and the 2-torsion columns of `oracle_torsion_value_table`, and it
+    has 2^w - 1 such forms exactly when those columns lie in the basis's
+    span.
     Each generator's local class is tabulated once, so a form becomes one
     mask on the exponent vector of A and one on that of B."""
     generators = descent_generators(p, q, k)
     squares = SquareClasses(generators)
-    columns = torsion_columns(torsion_value_table(p, q, k))
+    columns = torsion_columns(oracle_torsion_value_table(p, q, k))
     conditions = {}
     for ell in generators:
         if ell < 2:
@@ -461,9 +462,58 @@ def oracle_obstructions(p: int, q: int, k: int, triplets) -> list[list[int]]:
     return out
 
 
+def class_mul(u: int, v: int) -> int:
+    """Product of two square classes (squarefree representatives)."""
+    g = math.gcd(u, v)
+    return (u // g) * (v // g)
+
+
+def act(t, cls: tuple[int, int, int]):
+    """The triplet t multiplied componentwise by the classes cls, built as a
+    DescentTriplet, which checks its square product."""
+    return DescentTriplet(class_mul(t.a, cls[0]), class_mul(t.b, cls[1]), class_mul(t.c, cls[2]))
+
+
+def oracle_class_group(generators) -> list[int]:
+    """Every squarefree product of a subset of the generators, by class_mul,
+    ordered by absolute value and then sign."""
+    out = []
+    for mask in itertools.product((0, 1), repeat=len(generators)):
+        v = 1
+        for bit, g in zip(mask, generators):
+            if bit:
+                v = class_mul(v, g)
+        out.append(v)
+    return sorted(set(out), key=lambda v: (abs(v), v < 0))
+
+
+def oracle_enumerate_triplets(generators) -> list:
+    """The integer enumeration the exponent vectors replaced: (A, B, A*B)
+    with A > 0, A and B ranging over the class group."""
+    group = oracle_class_group(generators)
+    return [DescentTriplet(a, b, class_mul(a, b)) for a in group if a > 0 for b in group]
+
+
+def oracle_torsion_value_table(p: int, q: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """The factored table `torsion_images` replaced: rows follow the values
+    x + pk, x, x - qk, columns the 2-torsion points (-pk, 0), (0, 0), (qk, 0),
+    each entry a squarefree class by `class_of`."""
+    rows = (
+        (p * (p + q), p * k, (p + q) * k),
+        (-p * k, -p * q, q * k),
+        (-(p + q) * k, -q * k, q * (p + q)),
+    )
+    return tuple(tuple(class_of(v) for v in row) for row in rows)
+
+
+def torsion_columns(table) -> list[tuple[int, int, int]]:
+    """The columns of a torsion table: one class triplet per torsion point."""
+    return [tuple(table[i][j] for i in range(3)) for j in range(3)]
+
+
 def oracle_torsion_equivalence_classes(triplets, table):
     """The orbit loop the exponent-vector orbits replaced: each image built
-    through DescentTriplet.act, which checks its square product."""
+    through `act`, classes and members in `DescentTriplet.sort_key` order."""
     columns = torsion_columns(table)
     seen = set()
     classes = []
@@ -472,7 +522,7 @@ def oracle_torsion_equivalence_classes(triplets, table):
             continue
         orbit = {t}
         for col in columns:
-            orbit.add(t.act(col))
+            orbit.add(act(t, col))
         seen |= orbit
         classes.append(sorted(orbit, key=DescentTriplet.sort_key))
     return classes

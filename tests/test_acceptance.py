@@ -16,9 +16,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    act,
     brute_legendre_solvable,
+    oracle_torsion_value_table,
     random_curve_with_point,
     random_solvable_form,
+    torsion_columns,
 )
 
 from concordant.cli import run_classify, run_reproduce, run_series, run_solve
@@ -28,8 +31,6 @@ from concordant.descent import (
     build_homogeneous_space,
     classify,
     lift_solution,
-    torsion_columns,
-    torsion_value_table,
 )
 from concordant.errors import ConditionFailure, EffortExhausted
 from concordant.fixtures import load_fixture
@@ -45,11 +46,11 @@ from concordant.solver import (
 
 
 def _orbit(p, q, k, triplet):
-    table = torsion_value_table(p, q, k)
+    table = oracle_torsion_value_table(p, q, k)
     t = DescentTriplet(*triplet)
     members = {t.as_tuple()}
     for col in torsion_columns(table):
-        members.add(t.act(col).as_tuple())
+        members.add(act(t, col).as_tuple())
     return frozenset(members)
 
 

@@ -290,6 +290,22 @@ class TestVerifyCommand:
         )
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["valid"] is True
+        # the README example: y^2 = x^3 + 877x, with (0, 0) on it
+        code = main(["verify", "--weierstrass", "0,877,0", "--point=0,0", "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["valid"] is True
+
+    @pytest.mark.parametrize(
+        "coefficients, point", [("0,0,0", "0,0"), ("0,-3,2", "1,0"), ("-2,1,0", "1,0")]
+    )
+    def test_weierstrass_singular_cubic_rejected(self, capsys, coefficients, point):
+        # x^3, (x - 1)^2 (x + 2) and x (x - 1)^2: the point satisfies the
+        # equation, but the curve is not an elliptic curve
+        argv = ["verify", f"--weierstrass={coefficients}", "--point", point, "--format", "json"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "zero discriminant" in captured.err
 
 
 class TestMalformedValues:

@@ -6,30 +6,32 @@ from pathlib import Path
 
 import pytest
 from conftest import (
+    act,
+    class_mul,
+    oracle_class_group,
+    oracle_enumerate_triplets,
     oracle_local_point,
     oracle_obstructions,
     oracle_torsion_equivalence_classes,
+    oracle_torsion_value_table,
     oracle_triplet_solvable,
+    torsion_columns,
 )
 
 from concordant import cli, descent
-from concordant.curves import ConcordantCurve, CurvePoint
+from concordant.curves import ConcordantCurve, CurvePoint, class_of
 from concordant.descent import (
     DescentTriplet,
     LocalImages,
     SolvabilityTable,
     SquareClasses,
     build_homogeneous_space,
-    class_group,
-    class_mul,
     classify,
     descent_generators,
-    enumerate_triplets,
     lift_solution,
     local_class,
     local_image,
-    torsion_equivalence_classes,
-    torsion_value_table,
+    torsion_images,
     triplet_solvable,
 )
 from concordant.errors import DegenerateForm, EffortExhausted, InvalidArgument, VerificationFailure
@@ -76,47 +78,69 @@ class TestGenerators:
 
 class TestTripletEnumeration:
     def test_counts(self):
-        assert len(enumerate_triplets([-1, 2, 3, 7])) == 128
-        assert len(enumerate_triplets([-1, 2, 3])) == 32
+        assert len(classify(1, 3, 14).triplets) == 128  # generators -1, 2, 3, 7
+        assert len(classify(1, 1, 6).triplets) == 32  # generators -1, 2, 3
 
     def test_all_products_square(self):
-        for t in enumerate_triplets([-1, 2, 5]):
+        for t in classify(1, 1, 5).triplets:
             assert t.a > 0
             assert is_perfect_square(t.a * t.b * t.c) is not None
 
     def test_group(self):
-        g = class_group([-1, 2, 3])
-        assert len(g) == 8
-        assert set(g) == {1, -1, 2, -2, 3, -3, 6, -6}
+        triplets = classify(1, 1, 6).triplets
+        assert {t.b for t in triplets} == {1, -1, 2, -2, 3, -3, 6, -6}
+        assert {t.a for t in triplets} == {1, 2, 3, 6}
+
+
+def _image_classes(m, n):
+    return [tuple(class_of(v) for v in image) for image in torsion_images(m, n)]
+
+
+def _table_columns(p, q, k):
+    # the table's columns are the points x = -m, 0, -n; torsion_images lists
+    # x = 0, -m, -n
+    columns = torsion_columns(oracle_torsion_value_table(p, q, k))
+    return [columns[1], columns[0], columns[2]]
 
 
 class TestTorsionTable:
     def test_theta_table(self):
-        assert torsion_value_table(1, 3, 14) == (
-            (1, 14, 14),
-            (-14, -3, 42),
-            (-14, -42, 3),
-        )
+        assert _image_classes(14, -42) == [(14, -3, -42), (1, -14, -14), (14, 42, 3)]
 
     def test_prime_table_middle_column(self):
-        table = torsion_value_table(1, 1, 5)
-        assert tuple(table[i][1] for i in range(3)) == (5, -1, -5)
+        # the point (0, 0), the table's middle column
+        assert _image_classes(5, -5)[0] == (5, -1, -5)
 
     def test_columns_are_valid_triplets(self):
-        table = torsion_value_table(1, 3, 14)
-        for j in range(3):
-            col = tuple(table[i][j] for i in range(3))
-            assert is_perfect_square(col[0] * col[1] * col[2]) is not None
+        for a, b, c in torsion_images(14, -42):
+            assert is_perfect_square(a * b * c) is not None
+
+    def test_images_match_class_of_table(self):
+        # up to squares, on curves whose p, q or p + q have square factors
+        for p, q, k in _classified_curves() + _seeded_square_factor_curves(random.Random(7)):
+            assert _image_classes(p * k, -q * k) == _table_columns(p, q, k), (p, q, k)
+
+
+def _assert_classify_matches_act_oracle(p, q, k):
+    cls = classify(p, q, k)
+    triplets = oracle_enumerate_triplets(descent_generators(p, q, k))
+    assert len(cls.triplets) == len(triplets) and set(cls.triplets) == set(triplets), (p, q, k)
+    expected = oracle_torsion_equivalence_classes(triplets, oracle_torsion_value_table(p, q, k))
+    assert [c["members"] for c in cls.classes] == expected, (p, q, k)
+    for c in cls.classes:
+        assert c["representative"] == c["members"][0]
+        assert c["is_torsion_class"] == (DescentTriplet(1, 1, 1) in c["members"])
 
 
 class TestEquivalenceClasses:
+    def _members(self, p, q, k, triplet):
+        classes = [c["members"] for c in classify(p, q, k).classes]
+        target = next(c for c in classes if DescentTriplet(*triplet) in c)
+        return {t.as_tuple() for t in target}
+
     def test_twice_prime_class_of_minus_one(self):
         l = 3
-        gens = descent_generators(1, 1, 2 * l)
-        table = torsion_value_table(1, 1, 2 * l)
-        classes = torsion_equivalence_classes(enumerate_triplets(gens), table, gens)
-        target = next(c for c in classes if DescentTriplet(1, -1, -1) in c)
-        assert {t.as_tuple() for t in target} == {
+        assert self._members(1, 1, 2 * l, (1, -1, -1)) == {
             (1, -1, -1),
             (2, 2 * l, l),
             (2 * l, 1, 2 * l),
@@ -125,11 +149,7 @@ class TestEquivalenceClasses:
 
     def test_theta_class_of_122(self):
         l = 7
-        gens = descent_generators(1, 3, 2 * l)
-        table = torsion_value_table(1, 3, 2 * l)
-        classes = torsion_equivalence_classes(enumerate_triplets(gens), table, gens)
-        target = next(c for c in classes if DescentTriplet(1, 2, 2) in c)
-        assert {t.as_tuple() for t in target} == {
+        assert self._members(1, 3, 2 * l, (1, 2, 2)) == {
             (1, 2, 2),
             (2 * l, -6, -3 * l),
             (1, -l, -l),
@@ -137,45 +157,41 @@ class TestEquivalenceClasses:
         }
 
     def test_partition_properties(self):
-        gens = descent_generators(1, 1, 10)
-        trips = enumerate_triplets(gens)
-        table = torsion_value_table(1, 1, 10)
-        classes = torsion_equivalence_classes(trips, table, gens)
-        seen = [t for cls in classes for t in cls]
-        assert len(seen) == len(trips)
-        assert set(seen) == set(trips)
-        cols = [tuple(table[i][j] for i in range(3)) for j in range(3)]
-        for cls in classes:
-            assert len(cls) == 4
-            members = set(cls)
-            for t in cls:
+        cls = classify(1, 1, 10)
+        classes = [c["members"] for c in cls.classes]
+        seen = [t for members in classes for t in members]
+        assert len(seen) == len(cls.triplets)
+        assert set(seen) == set(cls.triplets)
+        cols = torsion_columns(oracle_torsion_value_table(1, 1, 10))
+        for members in classes:
+            assert len(members) == 4
+            for t in members:
                 for col in cols:
-                    assert t.act(col) in members
-
+                    assert act(t, col) in members
 
     def test_matches_act_oracle(self):
-        # the classified families at max_k 200 and k with three and four
-        # odd primes: same classes, same members, in the same order
-        primes = _primes_upto(200)
-        curves = [(1, 1, v) for v in primes if v % 8 in (5, 7)]
-        curves += [(1, 1, 2 * v) for v in primes if v <= 100 and v % 8 == 7]
-        curves += [(1, 3, v) for v in primes if v % 24 == 5]
-        curves += [(1, 1, 17 * 19 * 23), (1, 3, 5 * 7 * 11), (2, 5, 3 * 13 * 29)]
-        curves += [(1, 1, 29 * 31 * 37 * 41), (1, 3, 11 * 13 * 17 * 19), (1, 1, 2 * 3 * 5 * 7)]
+        # the classified families at max_k 200, every k of the classify
+        # workload and other shapes: same triplets, same classes, same
+        # members, same order
+        curves = _classified_curves() + _classify_workload_curves()
+        curves += [(1, 3, 5 * 7 * 11), (2, 5, 3 * 13 * 29), (1, 3, 11 * 13 * 17 * 19)]
+        curves += [(1, 1, 2 * 3 * 5 * 7)]
         for p, q, k in curves:
-            gens = descent_generators(p, q, k)
-            trips = enumerate_triplets(gens)
-            table = torsion_value_table(p, q, k)
-            expected = oracle_torsion_equivalence_classes(trips, table)
-            assert torsion_equivalence_classes(trips, table, gens) == expected, (p, q, k)
+            _assert_classify_matches_act_oracle(p, q, k)
+
+    def test_seeded_curves_match_act_oracle(self):
+        for p, q, k in _seeded_square_factor_curves(random.Random(7)):
+            _assert_classify_matches_act_oracle(p, q, k)
 
     def test_image_outside_the_list_is_built(self):
-        # orbits of a sublist still hold every image, as act would build it
-        gens = descent_generators(1, 1, 10)
-        trips = enumerate_triplets(gens)[::7]
-        table = torsion_value_table(1, 1, 10)
-        expected = oracle_torsion_equivalence_classes(trips, table)
-        assert torsion_equivalence_classes(trips, table, gens) == expected
+        # with p < 0 a torsion image of (1, 1, 1) has A < 0: it lies outside
+        # the enumerated triplets, and building it raises as act does
+        gens = descent_generators(-1, 3, 5)
+        table = oracle_torsion_value_table(-1, 3, 5)
+        with pytest.raises(InvalidArgument, match="A component must be positive"):
+            oracle_torsion_equivalence_classes(oracle_enumerate_triplets(gens), table)
+        with pytest.raises(InvalidArgument, match="A component must be positive"):
+            classify(-1, 3, 5)
 
 
 class TestSolvabilityFilter:
@@ -218,6 +234,28 @@ def _primes_upto(bound):
     return [v for v in range(2, bound + 1) if all(v % d for d in range(2, math.isqrt(v) + 1))]
 
 
+def _classified_curves():
+    # the curves of the five families at max_k 200
+    families = ("cong5", "cong7", "twice7", "theta5", "theta96")
+    return [c for f in families for c in cli._family_curves(f, 200)]
+
+
+def _classify_workload_curves():
+    # every k the classify workload sends: three and four odd primes
+    odd = (17, 19, 23, 29, 31, 37, 41, 43, 47)
+    return [(1, 1, math.prod(c)) for r in (3, 4) for c in itertools.combinations(odd, r)]
+
+
+def _seeded_square_factor_curves(rng):
+    # p, q and p + q are not squarefree in general, e.g. (1, 8) has p + q = 9
+    curves = [(1, 8, 15), (9, 16, 7), (4, 5, 1)]
+    while len(curves) < 300:
+        p, q, k = rng.randint(1, 40), rng.randint(1, 40), rng.randint(1, 3000)
+        if math.gcd(p, q) == 1 and squarefree_part(k)[0] == k:
+            curves.append((p, q, k))
+    return curves
+
+
 class TestSolvabilityTable:
     """Verdict and evidence of the Legendre-symbol table against the
     reduce-then-test oracle, triplet by triplet."""
@@ -235,18 +273,12 @@ class TestSolvabilityTable:
             _assert_classify_matches_oracle(p, q, k)
 
     def test_seeded_curves_with_square_factors(self):
-        # p, q and p + q are not squarefree in general, e.g. (1, 8) has p + q = 9
         rng = random.Random(7)
-        curves = [(1, 8, 15), (9, 16, 7), (4, 5, 1)]
-        while len(curves) < 300:
-            p, q, k = rng.randint(1, 40), rng.randint(1, 40), rng.randint(1, 3000)
-            if math.gcd(p, q) == 1 and squarefree_part(k)[0] == k:
-                curves.append((p, q, k))
-        for p, q, k in curves:
+        for p, q, k in _seeded_square_factor_curves(rng):
             m, n = p * k, -q * k
             generators = descent_generators(p, q, k)
             table = SolvabilityTable(generators, m, n)
-            group = class_group(generators)
+            group = oracle_class_group(generators)
             positives = [g for g in group if g > 0]
             for _ in range(12):
                 a, b = rng.choice(positives), rng.choice(group)
@@ -259,7 +291,7 @@ class TestSolvabilityTable:
         generators = {-1, 2}
         for v in (m, n, m - n):
             generators |= {p for p, _ in factorize(v).factors}
-        for t in enumerate_triplets(sorted(generators)):
+        for t in oracle_enumerate_triplets(sorted(generators)):
             assert triplet_solvable(t, m, n) == oracle_triplet_solvable(t, m, n), t
 
     def test_public_filter_property(self):
@@ -433,7 +465,9 @@ class TestLocalImages:
         curves = _searched_sweep_curves()
         assert len(curves) == 38
         checked = sum(
-            self._assert_matches_oracle(p, q, k, enumerate_triplets(descent_generators(p, q, k)))
+            self._assert_matches_oracle(
+                p, q, k, oracle_enumerate_triplets(descent_generators(p, q, k))
+            )
             for p, q, k in curves
         )
         assert checked > 2500
@@ -452,7 +486,7 @@ class TestLocalImages:
         )
         def check(p, q, k, rnd):
             hypothesis.assume(math.gcd(p, q) == 1 and squarefree_part(k)[0] == k)
-            group = class_group(descent_generators(p, q, k))
+            group = oracle_class_group(descent_generators(p, q, k))
             positives = [g for g in group if g > 0]
             triplets = []
             for _ in range(4):
@@ -483,7 +517,7 @@ class TestLocalImages:
         seen = {"obstructed": 0, "kept": 0}
         for p, q, k in _pool_curves(pool):
             local = LocalImages(p, q, k)
-            triplets = enumerate_triplets(descent_generators(p, q, k))
+            triplets = oracle_enumerate_triplets(descent_generators(p, q, k))
             got = [local.obstructions(t) for t in triplets]
             assert got == oracle_obstructions(p, q, k, triplets), (p, q, k)
             for primes in got:
