@@ -199,13 +199,6 @@ def _verify_point(curve: ConcordantCurve, point: CurvePoint):
         raise InvalidArgument(f"{point} is a torsion point")
 
 
-def _cap_ladder(radius_cap: int) -> list[int]:
-    # iterative deepening: probe every candidate class cheaply before
-    # spending the full budget on any single one
-    ladder = [c for c in (100, 500) if c < radius_cap]
-    return ladder + [radius_cap]
-
-
 @contextlib.contextmanager
 def _job_map(workers: int):
     """An ordered, lazy map over a run's independent jobs: the builtin map
@@ -326,16 +319,17 @@ def _search_class(
 def search_curve(
     curve: ConcordantCurve,
     triplets: list[DescentTriplet],
-    ladder: list[int],
+    radius_cap: int,
     pins: StagePins | None = None,
     jobs=map,
 ) -> tuple[DescentTriplet, SearchOutcome, CurvePoint]:
-    """The class x cap-ladder search: every class is searched at a rung's
-    radius cap before any class gets the next rung.  Each class is prepared
-    once and its search resumed at the next rung; `jobs` maps the rung's
-    classes in order (see `_job_map`), and each job hands back the class's
-    advanced search.  The first class in that order that hits wins, however
-    the jobs are run.
+    """The class x cap-ladder search up to `radius_cap`: the rungs are 100
+    and 500 where below the cap, then the cap, and every class is searched
+    at a rung before any class gets the next.  Each class is prepared once
+    and its search resumed at the next rung; `jobs` maps the rung's classes
+    in order (see `_job_map`), and each job hands back the class's advanced
+    search.  The first class in that order that hits wins, however the jobs
+    are run.
 
     Returns (triplet, outcome, point) for the first hit; raises
     EffortExhausted naming the last failure when every class is exhausted
@@ -343,17 +337,14 @@ def search_curve(
     if not triplets:
         raise EffortExhausted("no surviving descent classes to search")
     states = list(triplets)
-    for cap in ladder:
+    for cap in [c for c in (100, 500) if c < radius_cap] + [radius_cap]:
         results = jobs(functools.partial(_search_class, curve, cap, pins), states)
         states = []
         for t, (state, result) in zip(triplets, results):
-            if isinstance(result, EffortExhausted):
-                states.append(state)
-                last_exhaustion = result
-                continue
-            outcome, point = result
-            return t, outcome, point
-    raise last_exhaustion
+            if not isinstance(result, EffortExhausted):
+                return (t, *result)
+            states.append(state)
+    raise result  # every class exhausted: the last one's message
 
 
 def run_solve(
@@ -361,7 +352,6 @@ def run_solve(
     q: int,
     k: int,
     triplet: DescentTriplet | None = None,
-    mu: int | None = None,
     radius_cap: int = 2000,
     workers: int = 1,
     pins: StagePins | None = None,
@@ -369,14 +359,11 @@ def run_solve(
     curve = ConcordantCurve.from_pqk(p, q, k)
     m, n = curve.m, curve.n
     if triplet is not None:
-        candidates, ladder = [triplet], [radius_cap]
+        candidates = [triplet]
     else:
         candidates = [c["representative"] for c in classify(p, q, k).surviving_classes]
-        ladder = _cap_ladder(radius_cap)
-    if mu is not None:
-        pins = dataclasses.replace(pins or StagePins(), mu=mu)
     with _job_map(workers) as jobs:
-        t, outcome, point = search_curve(curve, candidates, ladder, pins, jobs)
+        t, outcome, point = search_curve(curve, candidates, radius_cap, pins, jobs)
     concordant = curve.to_quadric(point)
     if curve.quadric_residues(concordant) != (0, 0):
         raise InvalidArgument("concordant quadruple failed re-verification")
@@ -426,6 +413,10 @@ def run_solve(
 def run_verify(args) -> dict:
     report = {"command": "verify", "checks": []}
     if args.weierstrass:
+        flags = ("p", "q", "k", "M", "N", "quadruple")
+        unread = [f"--{f}" for f in flags if getattr(args, f) is not None]
+        if unread:
+            raise InvalidArgument(f"--weierstrass takes --point only, not {' '.join(unread)}")
         a2, a4, a6 = _parse_list("--weierstrass", args.weierstrass, 3)
         # the discriminant of x^3 + a2*x^2 + a4*x + a6, up to the factor 16
         disc = a2 * a2 * a4 * a4 - 4 * a4**3 - 4 * a2**3 * a6 - 27 * a6 * a6 + 18 * a2 * a4 * a6
@@ -448,6 +439,8 @@ def run_verify(args) -> dict:
         )
         report["valid"] = ok
         return report
+    if args.point is not None and args.quadruple is not None:
+        raise InvalidArgument("give either --point or --quadruple, not both")
     curve = _curve_only(args)
     if args.point:
         x, y = _parse_list("--point", args.point, 2, Fraction)
@@ -586,7 +579,7 @@ def _curve_rows(family: str, radius_cap: int, pqk: tuple[int, int, int]) -> list
     local = LocalImages(p, q, k)
     kept = [t for t in reps if not local.obstructions(t)]
     try:
-        t, outcome, point = search_curve(curve, kept, _cap_ladder(radius_cap))
+        t, outcome, point = search_curve(curve, kept, radius_cap)
     except EffortExhausted:
         t = reps[0] if reps else DescentTriplet(1, 1, 1)
         return [_series_row(family, p, q, k, t, "exhausted")]
@@ -601,7 +594,7 @@ def _theta96_rows(family, p, q, k, curve, radius_cap):
     for trip in ((1, 2, 2), (2, -3, -6)):
         t = DescentTriplet(*trip)
         try:
-            _, outcome, point = search_curve(curve, [t], [radius_cap])
+            _, outcome, point = search_curve(curve, [t], radius_cap)
         except EffortExhausted:
             rows.append(_series_row(family, p, q, k, t, "exhausted"))
             continue
@@ -696,7 +689,7 @@ def run_reproduce(fixture: Fixture) -> dict:
         if key in fixture:
             _expect(f"space:{name}", tuple(fixture[key]), form.diagonal(), diffs)
 
-    _, outcome, point = search_curve(curve, [t], [200], pins)
+    _, outcome, point = search_curve(curve, [t], 200, pins)
     # a fixture that pins the first parametrization records a strong chain
     strong = "pin_phi" in fixture
     method = "strong" if strong else "weak"
@@ -860,12 +853,13 @@ def main(argv=None) -> int:
                 pins = pins_from_fixture(fixture)
                 if triplet is None and "triplet" in fixture:
                     triplet = DescentTriplet(*_fixture_value(fixture, "triplet", (3,)))
+            if args.mu is not None:
+                pins = dataclasses.replace(pins or StagePins(), mu=args.mu)
             report = run_solve(
                 p,
                 q,
                 k,
                 triplet=triplet,
-                mu=args.mu,
                 radius_cap=args.radius_cap,
                 workers=args.workers,
                 pins=pins,

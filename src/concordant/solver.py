@@ -370,7 +370,12 @@ class StagePins:
     rho: Optional[tuple[int, int]] = None
 
 
-def pinned_parametrization(form: TernaryForm, base: Triple, rows) -> ConicParametrization:
+def pinned_parametrization(form: TernaryForm, base: Triple, rows=None) -> ConicParametrization:
+    """The parametrization of `form` from `base`: the pinned `rows` when
+    given, checked to start at a point of the conic and to sweep it, else
+    `parametrize_conic(form, base)`."""
+    if rows is None:
+        return parametrize_conic(form, base)
     param = ConicParametrization(tuple(tuple(r) for r in rows), tuple(base), form)
     if form(*base) != 0:
         raise InvalidArgument(f"pinned base {base} is not on {form.coefficients}")
@@ -454,9 +459,10 @@ def square_factor_candidates(
     """Signed squarefree divisors of the squarefree part of the cross term,
     kept when both row conics (row_i = mu * sigma^2) pass the solvability
     criterion AND admit the integral pattern with parameters coprime to mu;
-    ordered by |mu|, positive first.  `row_primes` is `_row_primes(psi)`."""
+    ordered by |mu|, positive first.  A zero cross term sets no divisor
+    condition and gives no candidates.  `row_primes` is `_row_primes(psi)`."""
     if cross_term == 0:
-        raise DegenerateKernel("cross term vanishes; divisor condition is empty")
+        return []
     odd = [p for p, e in factorize(cross_term).factors if e & 1]
     return [
         mu
@@ -527,9 +533,7 @@ class StrongSearch:
     def _gamma(self, mu: int) -> ConicParametrization:
         q4 = scaled_square_conic(self.psi.rows[0], mu)
         base_q4 = self.pins.base_q4 or find_conic_point(q4)
-        if self.pins.gamma_rows is not None:
-            return pinned_parametrization(q4, base_q4, self.pins.gamma_rows)
-        return parametrize_conic(q4, base_q4)
+        return pinned_parametrization(q4, base_q4, self.pins.gamma_rows)
 
     def advance(self, cap: int) -> SearchOutcome:
         """The outcome of a fresh final search up to radius `cap`: the
@@ -543,9 +547,9 @@ class StrongSearch:
             sigma1 = quartic_hit(compose_quartic(psi.rows[1], gamma), mu, *pins.rho)
             if sigma1 is None:
                 raise InvalidArgument(f"pinned parameters {pins.rho} are not a hit")
-            rho, tested, round_no = tuple(pins.rho), 1, 0
+            rho, tested = tuple(pins.rho), 1
         else:
-            for round_no, rnd in enumerate(self.rounds):
+            for rnd in self.rounds:
                 if rnd.sieves is None:
                     gammas = tuple(self._gamma(mu) for mu in rnd.mus)
                     rnd.sieves = tuple(
@@ -570,7 +574,7 @@ class StrongSearch:
             kernel=self.kernel,
             cross_term=self.cross_term,
             mu_candidates=self.mu_candidates,
-            completion_used=round_no > 0,
+            completion_used=mu not in self.mu_candidates,
             mu=mu,
             gamma=gamma,
             q5=scaled_square_conic(psi.rows[1], mu),
@@ -584,27 +588,13 @@ class StrongSearch:
 
 def _prepare_strong(sel: PairSelection, pins: StagePins) -> StrongSearch:
     q1_form = TernaryForm(sel.q1[0], 0, sel.q1[1], sel.q1[2])
-    base1 = pins.base_q1 or sel.base
-    if pins.phi_rows is not None:
-        phi = pinned_parametrization(q1_form, base1, pins.phi_rows)
-    else:
-        phi = parametrize_conic(q1_form, base1)
-
+    phi = pinned_parametrization(q1_form, pins.base_q1 or sel.base, pins.phi_rows)
     y_conic = substituted_conic(phi, sel.q2)
-
-    base_q3 = pins.base_q3 or find_conic_point(y_conic)
-    if pins.psi_rows is not None:
-        psi = pinned_parametrization(y_conic, base_q3, pins.psi_rows)
-    else:
-        psi = parametrize_conic(y_conic, base_q3)
-
+    psi = pinned_parametrization(y_conic, pins.base_q3 or find_conic_point(y_conic), pins.psi_rows)
     kernel = parameter_kernel(psi)
     cross = kernel_cross_term(kernel, psi)
     row_primes = _row_primes(psi)
-    try:
-        candidates = square_factor_candidates(cross, psi, row_primes)
-    except DegenerateKernel:
-        candidates = []
+    candidates = square_factor_candidates(cross, psi, row_primes)
     completion = [m for m in extended_square_factors(psi, row_primes) if m not in candidates]
     if pins.mu is not None:
         if pins.mu not in candidates and pins.mu not in completion:

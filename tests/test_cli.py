@@ -200,6 +200,22 @@ class TestSolveCommand:
         assert report["quadruple"] == ["2352960", "1604507", "-1411786", "-52241"]
         assert report["stats"]["mu"] == "-71"
 
+    @pytest.mark.parametrize("mu, completion_used", [("1", False), ("5", True)])
+    def test_mu_pin(self, capsys, mu, completion_used):
+        # (1, 3, 5), class (1, -1, -1): the candidates are 1 and -1, and 5
+        # comes from the completion round (5, -5)
+        argv = ["solve", "--p", "1", "--q", "3", "--k", "5", "--triplet", "1,-1,-1"]
+        argv += [f"--mu={mu}", "--radius-cap", "300", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert (stats["mu"], stats["mu_candidates"]) == (mu, ["1", "-1"])
+        assert stats["completion_used"] is completion_used
+
+    def test_mu_pin_outside_both_rounds(self, capsys):
+        argv = ["solve", "--p", "1", "--q", "3", "--k", "5", "--triplet", "1,-1,-1", "--mu=17"]
+        assert main(argv) == EXIT_USAGE
+        assert "mu=17 is not among the candidates [1, -1]" in capsys.readouterr().err
+
 
 class TestOptimizedInterpreter:
     """Result checks are explicit raises, so `python -O` keeps them."""
@@ -306,6 +322,27 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "zero discriminant" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--M", "23", "--N", "-69", "--point", "75,210", "--quadruple", "1,2,3,4"],
+             "either --point or --quadruple, not both"),
+            (["--weierstrass", "0,-25,0", "--point=-4,6", "--quadruple", "1,2,3,4"],
+             "not --quadruple"),
+            (["--weierstrass", "0,-25,0", "--point=-4,6", "--M", "5", "--N", "-5"],
+             "not --M --N"),
+            (["--weierstrass", "0,-25,0", "--point=-4,6", "--p", "1", "--q", "1", "--k", "5"],
+             "not --p --q --k"),
+        ],
+    )
+    def test_unread_flags_are_a_usage_error(self, capsys, argv, named):
+        # each of these used to verify one thing and skip the rest in silence
+        assert main(["verify", *argv, "--format", "json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert named in captured.err
 
 
 class TestMalformedValues:

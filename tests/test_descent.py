@@ -539,7 +539,6 @@ class TestLocalImages:
 
     def test_every_hit_is_kept(self):
         # each Legendre survivor searched on its own, with no pruning
-        ladder = cli._cap_ladder(300)
         hits = 0
         for p, q, k in _searched_sweep_curves():
             curve = ConcordantCurve.from_pqk(p, q, k)
@@ -547,7 +546,7 @@ class TestLocalImages:
             for c in classify(p, q, k).surviving_classes:
                 t = c["representative"]
                 try:
-                    cli.search_curve(curve, [t], ladder)
+                    cli.search_curve(curve, [t], 300)
                 except EffortExhausted:
                     continue
                 assert not local.obstructions(t), (p, q, k, t)

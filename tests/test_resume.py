@@ -12,6 +12,7 @@ from concordant import cli
 from concordant.curves import ConcordantCurve
 from concordant.descent import DescentTriplet, build_homogeneous_space, classify
 from concordant.errors import ConcordantError, DegenerateKernel, EffortExhausted
+from concordant.fixtures import load_fixture
 from concordant.solver import StagePins, prepare_search, strong_solve
 
 # n = 142, class (1, 2, 2): the published chain
@@ -51,16 +52,32 @@ def assert_resumes_like_fresh(space, caps, pins=None):
 
 
 def _family_classes(max_k=200):
+    """(curve, triplet) for every Legendre survivor of the five families."""
     out = []
     for family in sorted(cli.FAMILIES):
         for p, q, k in cli._family_curves(family, max_k):
             curve = ConcordantCurve.from_pqk(p, q, k)
-            for c in classify(p, q, k).surviving_classes:
-                out.append(build_homogeneous_space(c["representative"], curve.m, curve.n))
+            out += [(curve, c["representative"]) for c in classify(p, q, k).surviving_classes]
     return out
 
 
-FAMILY_SPACES = _family_classes()
+FAMILY_CLASSES = _family_classes()
+FAMILY_SPACES = [build_homogeneous_space(t, curve.m, curve.n) for curve, t in FAMILY_CLASSES]
+
+
+def _fixture_class(name):
+    fixture = load_fixture(name)
+    curve = ConcordantCurve.from_pqk(*(fixture[v] for v in "pqk"))
+    return curve, DescentTriplet(*fixture["triplet"]), cli.pins_from_fixture(fixture)
+
+
+# (curve, triplet, pins): the family classes, the k = 127 class that hits
+# at radius 375, past the rung at 100, and both fixtures with their pins
+SINGLE_CLASSES = [(curve, t, None) for curve, t in FAMILY_CLASSES] + [
+    (ConcordantCurve.from_pqk(1, 1, 127), DescentTriplet(1, -127, -127), None),
+    _fixture_class("n142"),
+    _fixture_class("k23-weak"),
+]
 
 
 def _space(p, q, k, triplet):
@@ -139,13 +156,33 @@ class TestResumedSearch:
 
 class TestSearchCurve:
     def test_series_ladder_matches_fresh_rungs(self):
-        ladder = cli._cap_ladder(300)
         for family in sorted(cli.FAMILIES):
             for p, q, k in cli._family_curves(family, 200):
                 curve = ConcordantCurve.from_pqk(p, q, k)
                 reps = [c["representative"] for c in classify(p, q, k).surviving_classes]
-                expected = _result(lambda: oracle_search_curve(curve, reps, ladder))
-                assert _result(lambda: cli.search_curve(curve, reps, ladder)) == expected
+                expected = _result(lambda: oracle_search_curve(curve, reps, [100, 300]))
+                assert _result(lambda: cli.search_curve(curve, reps, 300)) == expected
+
+    @pytest.mark.parametrize("cap", [50, 150, 300, 600])
+    def test_one_class_climbs_to_one_fresh_rung(self, cap):
+        # on these classes, one class searched rung by rung up to the cap
+        # finds what one fresh search at the cap finds: the hit and its
+        # pairs_tested, or the exhaustion message.  Not on every class: see
+        # the next test.
+        for curve, t, pins in SINGLE_CLASSES:
+            expected = _result(lambda: oracle_search_curve(curve, [t], [cap], pins))
+            got = _result(lambda: cli.search_curve(curve, [t], cap, pins))
+            assert got == expected, (curve, t, cap)
+
+    def test_one_class_keeps_an_earlier_rungs_completion_hit(self):
+        # (1, 3, 262), class (1, -6, -6): by rung 100 the completion round
+        # hits at radius 36, while one fresh search at the cap scans the
+        # candidate round first and hits at radius 147.  The rungs decide.
+        curve, t = ConcordantCurve.from_pqk(1, 3, 262), DescentTriplet(1, -6, -6)
+        hit = cli.search_curve(curve, [t], 300)
+        assert hit == oracle_search_curve(curve, [t], [100, 300])
+        assert (hit[1].parameter, hit[1].chain.completion_used) == ((-11, 36), True)
+        assert oracle_search_curve(curve, [t], [300])[1].parameter == (13, 147)
 
     def test_pickled_search_resumes(self):
         # k = 127: every class exhausts at 100; this one hits at radius 375

@@ -240,6 +240,10 @@ class TestMiddleStages:
         _, _, psi = pinned_chain_psi()
         assert square_factor_candidates(-9088, psi, _row_primes(psi)) == [-1, -71]
 
+    def test_zero_cross_term_has_no_candidates(self):
+        _, _, psi = pinned_chain_psi()
+        assert square_factor_candidates(0, psi, _row_primes(psi)) == []
+
     def test_candidates_divide_core(self):
         _, _, psi = pinned_chain_psi()
         for mu in square_factor_candidates(-9088, psi, _row_primes(psi)):
@@ -519,6 +523,12 @@ class TestStrongSolve:
         monkeypatch.setattr(concordant.solver, "solution_in_space_order", permuted)
         with pytest.raises(VerificationFailure, match=f"{method} result does not satisfy"):
             strong_solve(hs, 300)
+
+    def test_unpinned_parametrization_is_computed(self):
+        q1 = TernaryForm(3, 0, -8, 2)
+        _, q3, _ = pinned_chain_psi()
+        for form, base in ((q1, (0, 1, 2)), (q3, (10, 9, 1)), (q3, find_conic_point(q3))):
+            assert pinned_parametrization(form, base) == parametrize_conic(form, base)
 
     def test_pinned_parametrization_validation(self):
         q1 = TernaryForm(3, 0, -8, 2)
