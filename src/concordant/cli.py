@@ -322,6 +322,7 @@ def search_curve(
     radius_cap: int,
     pins: StagePins | None = None,
     jobs=map,
+    single_rung: bool = False,
 ) -> tuple[DescentTriplet, SearchOutcome, CurvePoint]:
     """The class x cap-ladder search up to `radius_cap`: the rungs are 100
     and 500 where below the cap, then the cap, and every class is searched
@@ -329,7 +330,10 @@ def search_curve(
     and its search resumed at the next rung; `jobs` maps the rung's classes
     in order (see `_job_map`), and each job hands back the class's advanced
     search.  The first class in that order that hits wins, however the jobs
-    are run.
+    are run.  With `single_rung` the cap is the only rung: a named class is
+    searched that way, since a strong chain scans its candidate `mu` round
+    to the rung before its completion round, so lower rungs can let a
+    completion hit come first.
 
     Returns (triplet, outcome, point) for the first hit; raises
     EffortExhausted naming the last failure when every class is exhausted
@@ -337,7 +341,7 @@ def search_curve(
     if not triplets:
         raise EffortExhausted("no surviving descent classes to search")
     states = list(triplets)
-    for cap in [c for c in (100, 500) if c < radius_cap] + [radius_cap]:
+    for cap in [c for c in (100, 500) if c < radius_cap and not single_rung] + [radius_cap]:
         results = jobs(functools.partial(_search_class, curve, cap, pins), states)
         states = []
         for t, (state, result) in zip(triplets, results):
@@ -363,7 +367,9 @@ def run_solve(
     else:
         candidates = [c["representative"] for c in classify(p, q, k).surviving_classes]
     with _job_map(workers) as jobs:
-        t, outcome, point = search_curve(curve, candidates, radius_cap, pins, jobs)
+        t, outcome, point = search_curve(
+            curve, candidates, radius_cap, pins, jobs, single_rung=triplet is not None
+        )
     concordant = curve.to_quadric(point)
     if curve.quadric_residues(concordant) != (0, 0):
         raise InvalidArgument("concordant quadruple failed re-verification")
@@ -594,7 +600,7 @@ def _theta96_rows(family, p, q, k, curve, radius_cap):
     for trip in ((1, 2, 2), (2, -3, -6)):
         t = DescentTriplet(*trip)
         try:
-            _, outcome, point = search_curve(curve, [t], radius_cap)
+            _, outcome, point = search_curve(curve, [t], radius_cap, single_rung=True)
         except EffortExhausted:
             rows.append(_series_row(family, p, q, k, t, "exhausted"))
             continue
@@ -689,7 +695,7 @@ def run_reproduce(fixture: Fixture) -> dict:
         if key in fixture:
             _expect(f"space:{name}", tuple(fixture[key]), form.diagonal(), diffs)
 
-    _, outcome, point = search_curve(curve, [t], 200, pins)
+    _, outcome, point = search_curve(curve, [t], 200, pins, single_rung=True)
     # a fixture that pins the first parametrization records a strong chain
     strong = "pin_phi" in fixture
     method = "strong" if strong else "weak"

@@ -598,7 +598,10 @@ def _prepare_strong(sel: PairSelection, pins: StagePins) -> StrongSearch:
     completion = [m for m in extended_square_factors(psi, row_primes) if m not in candidates]
     if pins.mu is not None:
         if pins.mu not in candidates and pins.mu not in completion:
-            raise InvalidArgument(f"mu={pins.mu} is not among the candidates {candidates}")
+            raise InvalidArgument(
+                f"mu={pins.mu} is not among the candidates {candidates}"
+                f" or the completion factors {completion}"
+            )
         rounds = [(pins.mu,)]
     else:
         rounds = [tuple(r) for r in (candidates, completion) if r]

@@ -214,7 +214,8 @@ class TestSolveCommand:
     def test_mu_pin_outside_both_rounds(self, capsys):
         argv = ["solve", "--p", "1", "--q", "3", "--k", "5", "--triplet", "1,-1,-1", "--mu=17"]
         assert main(argv) == EXIT_USAGE
-        assert "mu=17 is not among the candidates [1, -1]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "mu=17 is not among the candidates [1, -1] or the completion factors [5, -5]" in err
 
 
 class TestOptimizedInterpreter:

@@ -164,25 +164,27 @@ class TestSearchCurve:
                 assert _result(lambda: cli.search_curve(curve, reps, 300)) == expected
 
     @pytest.mark.parametrize("cap", [50, 150, 300, 600])
-    def test_one_class_climbs_to_one_fresh_rung(self, cap):
-        # on these classes, one class searched rung by rung up to the cap
-        # finds what one fresh search at the cap finds: the hit and its
-        # pairs_tested, or the exhaustion message.  Not on every class: see
-        # the next test.
+    def test_named_class_is_one_fresh_rung(self, cap):
+        # a named class is searched once at the cap: the hit and its
+        # pairs_tested, or the exhaustion message, of one fresh search there
         for curve, t, pins in SINGLE_CLASSES:
             expected = _result(lambda: oracle_search_curve(curve, [t], [cap], pins))
-            got = _result(lambda: cli.search_curve(curve, [t], cap, pins))
+            got = _result(lambda: cli.search_curve(curve, [t], cap, pins, single_rung=True))
             assert got == expected, (curve, t, cap)
 
-    def test_one_class_keeps_an_earlier_rungs_completion_hit(self):
+    def test_rungs_can_let_a_completion_hit_come_first(self):
         # (1, 3, 262), class (1, -6, -6): by rung 100 the completion round
-        # hits at radius 36, while one fresh search at the cap scans the
-        # candidate round first and hits at radius 147.  The rungs decide.
+        # hits at radius 36, while one search at the cap scans the candidate
+        # round first and hits at radius 147.  solve --triplet reports that.
         curve, t = ConcordantCurve.from_pqk(1, 3, 262), DescentTriplet(1, -6, -6)
-        hit = cli.search_curve(curve, [t], 300)
-        assert hit == oracle_search_curve(curve, [t], [100, 300])
-        assert (hit[1].parameter, hit[1].chain.completion_used) == ((-11, 36), True)
-        assert oracle_search_curve(curve, [t], [300])[1].parameter == (13, 147)
+        climbed = cli.search_curve(curve, [t], 300)
+        assert climbed == oracle_search_curve(curve, [t], [100, 300])
+        assert (climbed[1].parameter, climbed[1].chain.completion_used) == ((-11, 36), True)
+        named = cli.search_curve(curve, [t], 300, single_rung=True)
+        assert named == oracle_search_curve(curve, [t], [300])
+        assert (named[1].parameter, named[1].chain.completion_used) == ((13, 147), False)
+        stats = cli.run_solve(1, 3, 262, triplet=t, radius_cap=300)["stats"]
+        assert (stats["parameter"], stats["completion_used"]) == (["13", "147"], False)
 
     def test_pickled_search_resumes(self):
         # k = 127: every class exhausts at 100; this one hits at radius 375
