@@ -367,7 +367,6 @@ class StagePins:
     mu: Optional[int] = None
     base_q4: Optional[Triple] = None
     gamma_rows: Optional[tuple[Triple, Triple, Triple]] = None
-    rho: Optional[tuple[int, int]] = None
 
 
 def pinned_parametrization(form: TernaryForm, base: Triple, rows=None) -> ConicParametrization:
@@ -538,32 +537,26 @@ class StrongSearch:
     def advance(self, cap: int) -> SearchOutcome:
         """The outcome of a fresh final search up to radius `cap`: the
         rounds in order, each over its per-mu quartics with a shared shell
-        radius.  Raises EffortExhausted when there is none."""
-        pins, psi = self.pins, self.psi
-        if pins.rho is not None:
-            if pins.mu is None:
-                raise InvalidArgument("pinned final parameters need a pinned square factor")
-            mu, gamma = pins.mu, self._gamma(pins.mu)
-            sigma1 = quartic_hit(compose_quartic(psi.rows[1], gamma), mu, *pins.rho)
-            if sigma1 is None:
-                raise InvalidArgument(f"pinned parameters {pins.rho} are not a hit")
-            rho, tested = tuple(pins.rho), 1
+        radius.  A hit's pairs_tested counts the pairs of every round
+        before it, scanned up to `cap`.  Raises EffortExhausted when there
+        is none."""
+        psi, earlier = self.psi, 0
+        for rnd in self.rounds:
+            if rnd.sieves is None:
+                gammas = tuple(self._gamma(mu) for mu in rnd.mus)
+                rnd.sieves = tuple(
+                    quartic_sieve(compose_quartic(psi.rows[1], g), m)
+                    for g, m in zip(gammas, rnd.mus)
+                )
+                rnd.gammas = gammas
+            hit = scan_schedule(rnd, cap)
+            if hit is not None:
+                si, rho, sigma1, tested = hit
+                mu, gamma = rnd.mus[si], rnd.gammas[si]
+                break
+            earlier += rnd.tested
         else:
-            for rnd in self.rounds:
-                if rnd.sieves is None:
-                    gammas = tuple(self._gamma(mu) for mu in rnd.mus)
-                    rnd.sieves = tuple(
-                        quartic_sieve(compose_quartic(psi.rows[1], g), m)
-                        for g, m in zip(gammas, rnd.mus)
-                    )
-                    rnd.gammas = gammas
-                hit = scan_schedule(rnd, cap)
-                if hit is not None:
-                    si, rho, sigma1, tested = hit
-                    mu, gamma = rnd.mus[si], rnd.gammas[si]
-                    break
-            else:
-                raise EffortExhausted("final search schedule exhausted")
+            raise EffortExhausted("final search schedule exhausted")
 
         quadruple, zvec, yvec = back_substitute(
             self.phi, psi, mu, gamma, rho, sigma1, self.selection
@@ -583,7 +576,7 @@ class StrongSearch:
             z_values=zvec,
             y_values=yvec,
         )
-        return SearchOutcome("strong", quadruple, rho, tested, chain=chain)
+        return SearchOutcome("strong", quadruple, rho, earlier + tested, chain=chain)
 
 
 def _prepare_strong(sel: PairSelection, pins: StagePins) -> StrongSearch:

@@ -25,8 +25,9 @@ from concordant.cli import (
     run_series,
     run_solve,
 )
+from concordant.curves import ConcordantCurve
 from concordant.descent import DescentTriplet
-from concordant.errors import EffortExhausted, FactorizationIncomplete
+from concordant.errors import EffortExhausted, FactorizationIncomplete, InvalidArgument
 from concordant.fixtures import load_fixture, parse_fixture
 
 def _over_factoring_budget(psi, row_primes):
@@ -410,6 +411,33 @@ class TestSeriesCommand:
             assert w[0] ** 2 + 14 * w[1] ** 2 == w[2] ** 2
             assert w[0] ** 2 - 42 * w[1] ** 2 == w[3] ** 2
 
+    def test_rank_two_sum_of_large_height(self, monkeypatch):
+        # k = 2126: the sum's coordinates are past the factoring budget, so
+        # its class is checked by square tests that factor nothing
+        monkeypatch.setattr(ConcordantCurve, "square_classes", None)
+        rows = concordant.cli._curve_rows("theta96", 300, (1, 3, 2126))
+        got = [(r["k"], r["triplet"], r["status"], r["method"]) for r in rows]
+        assert got == [
+            ("2126", "1;2;2", "ok", "strong"),
+            ("2126", "2;-3;-6", "ok", "strong"),
+            ("2126", "2;-6;-3", "ok", "sum"),
+        ]
+        w = [int(rows[2][c]) for c in ("w0", "w1", "w2", "w3")]
+        assert w[0] ** 2 + 2126 * w[1] ** 2 == w[2] ** 2
+        assert w[0] ** 2 - 3 * 2126 * w[1] ** 2 == w[3] ** 2
+
+    def test_sum_in_a_wrong_class_raises(self, monkeypatch):
+        # P2 + 2*P1 is not torsion, and lies in P2's class (2, -3, -6):
+        # x + M passes the square test over 2, x does not over -6
+        real_add = ConcordantCurve.add
+
+        def misplaced(curve, p1, p2):
+            return real_add(curve, p2, curve.multiply(2, p1))
+
+        monkeypatch.setattr(ConcordantCurve, "add", misplaced)
+        with pytest.raises(InvalidArgument, match="unexpected descent class"):
+            concordant.cli._curve_rows("theta96", 300, (1, 3, 14))
+
     @pytest.mark.parametrize(
         "family, max_k, rows",
         [
@@ -560,13 +588,11 @@ class TestReproduceCommand:
         monkeypatch.setattr(concordant.cli, "prepare_search", counting)
         assert run_reproduce(load_fixture("n142"))["ok"] is True
         assert len(calls) == 1
-        assert calls[0].rho == (20, 3)
         assert calls[0].mu == -71
 
     @pytest.mark.parametrize(
         "old, new, reason",
         [
-            ("pin_rho = 20,3", "pin_rho = 1,1", "not a hit"),
             ("pin_mu = -71", "pin_mu = 17", "not among the candidates"),
         ],
     )
@@ -575,6 +601,36 @@ class TestReproduceCommand:
         assert main(["reproduce", "--fixture", path]) == EXIT_MISMATCH
         captured = capsys.readouterr()
         assert reason in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("expect_rho = 20,3", "expect_rho = 1,1", "stage 'rho': expected (1, 1), got (20, 3)"),
+            # a scalar where the stage yields several values is compared,
+            # not converted
+            (
+                "expect_kernel = 2552,-315,-355",
+                "expect_kernel = 2552",
+                "stage 'kernel': expected 2552, got (2552, -315, -355)",
+            ),
+            (
+                "expect_space_e_d = 3,-8,2",
+                "expect_space_e_d = 3",
+                "stage 'space:e_d': expected 3, got (3, -8, 2)",
+            ),
+            (
+                "expect_cross_term = -9088",
+                "expect_cross_term = -9088,1",
+                "stage 'cross_term': expected (-9088, 1), got -9088",
+            ),
+        ],
+    )
+    def test_wrong_expectation_names_its_stage(self, tmp_path, capsys, old, new, message):
+        path = _edited_n142(tmp_path, old, new)
+        assert main(["reproduce", "--fixture", path]) == EXIT_MISMATCH
+        captured = capsys.readouterr()
+        assert captured.err == f"reproduction mismatch: {message}\n"
         assert captured.out == ""
 
     def test_cli_exit_codes(self, capsys):
@@ -620,7 +676,7 @@ class TestMalformedFixture:
         [
             ("triplet = 1,2,2", "triplet = 1,2", "triplet"),
             ("pin_phi = 0,16,0;8,0,3;-16,0,6", "pin_phi = 1,2,3", "pin_phi"),
-            ("pin_rho = 20,3", "pin_rho = 20", "pin_rho"),
+            ("pin_base_q4 = 4,1,4", "pin_base_q4 = 4,1", "pin_base_q4"),
         ],
     )
     @pytest.mark.parametrize("argv, code, prefix", ENTRY_POINTS)
@@ -647,7 +703,7 @@ class TestMalformedFixture:
         "old, new, key",
         [
             ("expect_cross_term = -9088", "expect_crossterm = -9090", "expect_crossterm"),
-            ("pin_rho = 20,3", "pin_rho = 20,3\npin_sigma = 3", "pin_sigma"),
+            ("pin_mu = -71", "pin_mu = -71\npin_sigma = 3", "pin_sigma"),
         ],
     )
     @pytest.mark.parametrize("argv, code, prefix", ENTRY_POINTS)
@@ -683,7 +739,5 @@ class TestFixtureParsing:
         assert fx["d"] == Fraction(5, 7)
 
     def test_duplicate_key_rejected(self):
-        from concordant.errors import InvalidArgument
-
         with pytest.raises(InvalidArgument):
             parse_fixture("a = 1\na = 2\n")

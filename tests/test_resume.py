@@ -5,7 +5,7 @@ that searched every class afresh at each rung."""
 import pickle
 
 import pytest
-from conftest import oracle_search_curve
+from conftest import oracle_final_search, oracle_search_curve
 
 import concordant.solver
 from concordant import cli
@@ -13,6 +13,8 @@ from concordant.curves import ConcordantCurve
 from concordant.descent import DescentTriplet, build_homogeneous_space, classify
 from concordant.errors import ConcordantError, DegenerateKernel, EffortExhausted
 from concordant.fixtures import load_fixture
+from concordant.integers import shell_pairs
+from concordant.quadforms import compose_quartic
 from concordant.solver import StagePins, prepare_search, strong_solve
 
 # n = 142, class (1, 2, 2): the published chain
@@ -143,15 +145,17 @@ class TestResumedSearch:
         assert results == [("EffortExhausted", "final search schedule exhausted")] * 3
 
     def test_pinned_rho(self):
+        # with every stage pinned up to the final scan, the scan finds the
+        # published final parameters (20, 3) after 507 pairs
         pins = StagePins(
             **PINNED_142,
             mu=-71,
             base_q4=(4, 1, 4),
             gamma_rows=((-5, 10, 279), (-19, 180, -90), (-5, 81, -360)),
-            rho=(20, 3),
         )
         results = assert_resumes_like_fresh(_space(1, 3, 142, (1, 2, 2)), [1, 200, 500], pins)
-        assert {(r.parameter, r.pairs_tested) for r in results} == {((20, 3), 1)}
+        assert results[0] == ("EffortExhausted", "final search schedule exhausted")
+        assert {(r.parameter, r.pairs_tested) for r in results[1:]} == {((20, 3), 507)}
 
 
 class TestSearchCurve:
@@ -160,27 +164,43 @@ class TestSearchCurve:
             for p, q, k in cli._family_curves(family, 200):
                 curve = ConcordantCurve.from_pqk(p, q, k)
                 reps = [c["representative"] for c in classify(p, q, k).surviving_classes]
-                expected = _result(lambda: oracle_search_curve(curve, reps, [100, 300]))
+                ladder = [100, 300] if len(reps) > 1 else [300]
+                expected = _result(lambda: oracle_search_curve(curve, reps, ladder))
                 assert _result(lambda: cli.search_curve(curve, reps, 300)) == expected
 
     @pytest.mark.parametrize("cap", [50, 150, 300, 600])
     def test_named_class_is_one_fresh_rung(self, cap):
-        # a named class is searched once at the cap: the hit and its
+        # a single class is searched once at the cap: the hit and its
         # pairs_tested, or the exhaustion message, of one fresh search there
         for curve, t, pins in SINGLE_CLASSES:
             expected = _result(lambda: oracle_search_curve(curve, [t], [cap], pins))
-            got = _result(lambda: cli.search_curve(curve, [t], cap, pins, single_rung=True))
+            got = _result(lambda: cli.search_curve(curve, [t], cap, pins))
             assert got == expected, (curve, t, cap)
 
     def test_rungs_can_let_a_completion_hit_come_first(self):
-        # (1, 3, 262), class (1, -6, -6): by rung 100 the completion round
-        # hits at radius 36, while one search at the cap scans the candidate
-        # round first and hits at radius 147.  solve --triplet reports that.
+        # (1, 3, 262) has three classes, so its search climbs the rungs.
+        # By rung 100 the completion round of class (1, -6, -6) hits at
+        # radius 36, after its candidate round scanned shells 1-100; one
+        # search of that class at the cap scans the candidate round first
+        # and hits at radius 147.
         curve, t = ConcordantCurve.from_pqk(1, 3, 262), DescentTriplet(1, -6, -6)
-        climbed = cli.search_curve(curve, [t], 300)
-        assert climbed == oracle_search_curve(curve, [t], [100, 300])
-        assert (climbed[1].parameter, climbed[1].chain.completion_used) == ((-11, 36), True)
-        named = cli.search_curve(curve, [t], 300, single_rung=True)
+        report = cli.run_solve(1, 3, 262, radius_cap=300)
+        stats = report["stats"]
+        assert report["triplet"] == ["1", "-6", "-6"]
+        assert (stats["parameter"], stats["mu"]) == (["-11", "36"], "262")
+        assert (stats["completion_used"], stats["pairs_tested"]) == (True, 16905)
+
+        search = prepare_search(_space(1, 3, 262, t.as_tuple())).search
+        candidates, completion = (
+            [(compose_quartic(search.psi.rows[1], search._gamma(mu)), mu) for mu in rnd.mus]
+            for rnd in search.rounds
+        )
+        assert oracle_final_search(candidates, 100) is None
+        scanned = len(candidates) * sum(len(shell_pairs(r)) for r in range(1, 101))
+        qi, rho, _, tested = oracle_final_search(completion, 100)
+        assert (completion[qi][1], rho, scanned + tested) == (262, (-11, 36), 16905)
+
+        named = cli.search_curve(curve, [t], 300)
         assert named == oracle_search_curve(curve, [t], [300])
         assert (named[1].parameter, named[1].chain.completion_used) == ((13, 147), False)
         stats = cli.run_solve(1, 3, 262, triplet=t, radius_cap=300)["stats"]

@@ -432,11 +432,14 @@ class TestFinalLoop:
             mu=-71,
             base_q4=(4, 1, 4),
             gamma_rows=GAMMA_142,
-            rho=(20, 3),
         )
+        # the final scan finds the published parameters (20, 3)
+        with pytest.raises(EffortExhausted):
+            strong_solve(hs, 1, pins=pins)
         out = strong_solve(hs, 500, pins=pins)
+        assert strong_solve(hs, 200, pins=pins) == out
         assert out.quadruple == (2352960, 1604507, -1411786, -52241)
-        assert (out.parameter, out.pairs_tested) == ((20, 3), 1)
+        assert (out.parameter, out.pairs_tested) == ((20, 3), 507)
         st = out.chain
         assert st.z_values == (1111, 2390, -380, 387)
         assert st.y_values == (-10252400, -10633599, 3709111)
