@@ -125,12 +125,9 @@ def _fixture_value(fixture: Fixture, key: str, shape: tuple[int, ...]):
 
 # fixture key -> (StagePins field, shape of its value)
 _PIN_KEYS = {
-    "pin_base_q1": ("base_q1", (3,)),
     "pin_phi": ("phi_rows", (3, 3)),
-    "pin_base_q3": ("base_q3", (3,)),
     "pin_psi": ("psi_rows", (3, 3)),
     "pin_mu": ("mu", ()),
-    "pin_base_q4": ("base_q4", (3,)),
     "pin_gamma": ("gamma_rows", (3, 3)),
 }
 
@@ -138,11 +135,13 @@ _PIN_KEYS = {
 def pins_from_fixture(fixture: Fixture) -> StagePins:
     """The stage choices a fixture pins.  Every key of the fixture must be
     one that a replay reads: a misspelled pin or expectation would
-    otherwise be skipped without a word."""
+    otherwise be skipped without a word.  `pin_gamma` sweeps Q4 of `pin_mu`."""
     unknown = sorted(set(fixture.values) - _FIXTURE_KEYS)
     if unknown:
         names = ", ".join(map(repr, unknown))
         raise InvalidArgument(f"fixture {fixture.name}: unknown key {names}")
+    if "pin_gamma" in fixture and "pin_mu" not in fixture:
+        raise InvalidArgument(f"fixture {fixture.name}: pin_gamma needs the pin_mu of its Q4")
     return StagePins(
         **{
             field: _fixture_value(fixture, key, shape)
@@ -150,6 +149,27 @@ def pins_from_fixture(fixture: Fixture) -> StagePins:
             if key in fixture
         }
     )
+
+
+def _solve_pins(fixture: Fixture, pqk, triplet: DescentTriplet | None, mu: int | None):
+    """(triplet, pins) of a solve that names `fixture`.  Its pins belong to
+    the curve, class and square factor it records, so a flag that names
+    another is a usage error naming the key.  The class defaults to the
+    fixture's."""
+    pins = pins_from_fixture(fixture)
+    for key, value in [*zip("pqk", pqk), ("triplet", triplet and triplet.as_tuple())]:
+        shape = (3,) if key == "triplet" else ()
+        if key in fixture and value not in (None, _fixture_value(fixture, key, shape)):
+            raise InvalidArgument(
+                f"fixture {fixture.name} records {key} = {fixture[key]}, not {value}"
+            )
+    if pins.gamma_rows is not None and mu not in (None, pins.mu):
+        raise InvalidArgument(
+            f"fixture {fixture.name} records pin_gamma for mu = {pins.mu}, not {mu}"
+        )
+    if triplet is None and "triplet" in fixture:
+        triplet = DescentTriplet(*fixture["triplet"])
+    return triplet, pins
 
 
 # ---------------------------------------------------------------------------
@@ -705,10 +725,11 @@ def run_reproduce(fixture: Fixture) -> dict:
     method = "strong" if strong else "weak"
     if outcome.method != method:
         raise StageMismatch("method", method, outcome.method)
-    if fixture.get("expect_condition_failure"):
+    if "expect_condition_failure" in fixture:
+        flag = _fixture_value(fixture, "expect_condition_failure", ())
         no_pair = outcome.method == "weak" and outcome.degenerate_kernel is None
         actual = "condition-failure" if no_pair else "pair found"
-        _expect("condition", "condition-failure", actual, diffs)
+        _expect("condition", "condition-failure" if flag else "pair found", actual, diffs)
     replay = SimpleNamespace(
         strong=strong,
         outcome=outcome,
@@ -859,10 +880,7 @@ def main(argv=None) -> int:
                 triplet = DescentTriplet(*_parse_list("--triplet", args.triplet, 3))
             pins = None
             if args.fixture:
-                fixture = load_fixture(args.fixture)
-                pins = pins_from_fixture(fixture)
-                if triplet is None and "triplet" in fixture:
-                    triplet = DescentTriplet(*_fixture_value(fixture, "triplet", (3,)))
+                triplet, pins = _solve_pins(load_fixture(args.fixture), (p, q, k), triplet, args.mu)
             if args.mu is not None:
                 pins = dataclasses.replace(pins or StagePins(), mu=args.mu)
             report = run_solve(

@@ -1,4 +1,4 @@
-"""Flat key-value fixture files pinning every choice of a solve chain plus
+"""Flat key-value fixture files pinning what a solve chain cannot compute plus
 the expected intermediates, for bit-exact replay.
 
 Format: one `key = value` per line, `#` comments; values are integers,
@@ -19,9 +19,6 @@ from .errors import InvalidArgument
 class Fixture:
     name: str
     values: dict = field(default_factory=dict)
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
 
     def __contains__(self, key):
         return key in self.values

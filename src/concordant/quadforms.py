@@ -429,7 +429,6 @@ class ConicParametrization:
     the (s^2, s*t, t^2) coefficients of coordinate i in parameters (s, t)."""
 
     rows: tuple[Triple, Triple, Triple]
-    base_point: Triple
     source: TernaryForm
 
     def __call__(self, s: int, t: int) -> Triple:
@@ -518,7 +517,7 @@ def parametrize_conic(form: TernaryForm, base: Triple) -> ConicParametrization:
         raise InvalidArgument("base point must be primitive")
     rows = _projection_rows(form, base)
     canon = _canonicalize_rows(rows)
-    param = ConicParametrization(canon, tuple(base), form)
+    param = ConicParametrization(canon, form)
     if not param.is_valid():
         raise VerificationFailure(f"parametrization from {base} misses {form.coefficients}")
     return param

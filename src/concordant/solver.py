@@ -272,8 +272,7 @@ def scan_schedule(scan: ScanRound, cap: int) -> Optional[tuple[int, tuple[int, i
 @dataclass(frozen=True)
 class ChainState:
     """What the strong chain produced beyond the hit itself, for reporting
-    and replay diffs.  Q3 is psi.source with base psi.base_point, Q4 is
-    gamma.source with base gamma.base_point."""
+    and replay diffs.  Q3 is psi.source and Q4 is gamma.source."""
 
     phi: ConicParametrization
     psi: ConicParametrization
@@ -330,17 +329,14 @@ class WeakSearch:
         return SearchOutcome("weak", quad, (s, t), tested)
 
 
-def _prepare_weak(q1: Triple, q2: Triple, base: Optional[Triple] = None) -> WeakSearch:
-    form = TernaryForm(q1[0], 0, q1[1], q1[2])
-    if base is None:
-        base = find_conic_point(form)
-    phi = parametrize_conic(form, base)
+def _prepare_weak(q1: Triple, q2: Triple) -> WeakSearch:
+    phi = pinned_parametrization(TernaryForm(q1[0], 0, q1[1], q1[2]))
     b00, b11, b33 = q2
     sieve = quartic_sieve(compose_quartic((-b33 * b00, 0, -b33 * b11), phi), 1, phi.rows)
     return WeakSearch(phi, abs(b33), ScanRound(sieves=(sieve,)))
 
 
-def weak_solve(q1: Triple, q2: Triple, cap: int, base: Optional[Triple] = None) -> SearchOutcome:
+def weak_solve(q1: Triple, q2: Triple, cap: int) -> SearchOutcome:
     """Parametrize Q1 from any point, then scan coprime parameter pairs from
     radius 1 up to `cap` until -b33*(b00*F0^2 + b11*F1^2) is a nonzero
     perfect square; the quadruple is (F0, F1, F2, root) cleared to a
@@ -350,7 +346,7 @@ def weak_solve(q1: Triple, q2: Triple, cap: int, base: Optional[Triple] = None) 
     to torsion images and are useless downstream.  The outcome knows no
     space, so its selection and space solution are None.
     """
-    return _prepare_weak(q1, q2, base).advance(cap)
+    return _prepare_weak(q1, q2).advance(cap)
 
 
 # ---------------------------------------------------------------------------
@@ -358,26 +354,21 @@ def weak_solve(q1: Triple, q2: Triple, cap: int, base: Optional[Triple] = None) 
 
 @dataclass
 class StagePins:
-    """Optional stage-by-stage choices for bit-exact replay."""
+    """Replay choices the chain cannot compute: its three parametrizations and mu."""
 
-    base_q1: Optional[Triple] = None
     phi_rows: Optional[tuple[Triple, Triple, Triple]] = None
-    base_q3: Optional[Triple] = None
     psi_rows: Optional[tuple[Triple, Triple, Triple]] = None
     mu: Optional[int] = None
-    base_q4: Optional[Triple] = None
     gamma_rows: Optional[tuple[Triple, Triple, Triple]] = None
 
 
-def pinned_parametrization(form: TernaryForm, base: Triple, rows=None) -> ConicParametrization:
-    """The parametrization of `form` from `base`: the pinned `rows` when
-    given, checked to start at a point of the conic and to sweep it, else
-    `parametrize_conic(form, base)`."""
+def pinned_parametrization(form: TernaryForm, rows=None, base=None) -> ConicParametrization:
+    """The parametrization of `form`: the pinned `rows` when given, checked
+    to sweep the conic, else `parametrize_conic` from `base`, or from
+    `find_conic_point(form)` when no base is given."""
     if rows is None:
-        return parametrize_conic(form, base)
-    param = ConicParametrization(tuple(tuple(r) for r in rows), tuple(base), form)
-    if form(*base) != 0:
-        raise InvalidArgument(f"pinned base {base} is not on {form.coefficients}")
+        return parametrize_conic(form, base or find_conic_point(form))
+    param = ConicParametrization(tuple(tuple(r) for r in rows), form)
     if not param.is_valid():
         raise InvalidArgument("pinned parametrization does not sweep the conic")
     return param
@@ -531,8 +522,7 @@ class StrongSearch:
 
     def _gamma(self, mu: int) -> ConicParametrization:
         q4 = scaled_square_conic(self.psi.rows[0], mu)
-        base_q4 = self.pins.base_q4 or find_conic_point(q4)
-        return pinned_parametrization(q4, base_q4, self.pins.gamma_rows)
+        return pinned_parametrization(q4, self.pins.gamma_rows)
 
     def advance(self, cap: int) -> SearchOutcome:
         """The outcome of a fresh final search up to radius `cap`: the
@@ -581,9 +571,8 @@ class StrongSearch:
 
 def _prepare_strong(sel: PairSelection, pins: StagePins) -> StrongSearch:
     q1_form = TernaryForm(sel.q1[0], 0, sel.q1[1], sel.q1[2])
-    phi = pinned_parametrization(q1_form, pins.base_q1 or sel.base, pins.phi_rows)
-    y_conic = substituted_conic(phi, sel.q2)
-    psi = pinned_parametrization(y_conic, pins.base_q3 or find_conic_point(y_conic), pins.psi_rows)
+    phi = pinned_parametrization(q1_form, pins.phi_rows, sel.base)
+    psi = pinned_parametrization(substituted_conic(phi, sel.q2), pins.psi_rows)
     kernel = parameter_kernel(psi)
     cross = kernel_cross_term(kernel, psi)
     row_primes = _row_primes(psi)
@@ -648,7 +637,7 @@ def prepare_search(space: HomogeneousSpace, pins: Optional[StagePins] = None) ->
         if isinstance(exc, DegenerateKernel):
             degenerate = str(exc)
         sel = weak_pair(space)
-        search = _prepare_weak(sel.q1, sel.q2, base=pins.base_q1)
+        search = _prepare_weak(sel.q1, sel.q2)
     return PreparedSearch(space, sel, search, degenerate)
 
 

@@ -20,6 +20,7 @@ from concordant.cli import (
     EXIT_USAGE,
     SERIES_COLUMNS,
     main,
+    pins_from_fixture,
     run_classify,
     run_reproduce,
     run_series,
@@ -29,6 +30,7 @@ from concordant.curves import ConcordantCurve
 from concordant.descent import DescentTriplet
 from concordant.errors import EffortExhausted, FactorizationIncomplete, InvalidArgument
 from concordant.fixtures import load_fixture, parse_fixture
+from concordant.solver import StagePins
 
 def _over_factoring_budget(psi, row_primes):
     raise FactorizationIncomplete(10**40 + 1, [], 10**40 + 1)
@@ -52,14 +54,18 @@ def _first_hit_finishes_last(curve, cap, pins, state):
     return _real_search_class(curve, cap, pins, state)
 
 
-def _edited_n142(tmp_path, old, new):
+def _edited_fixture(tmp_path, name, old, new):
     import importlib.resources as resources
 
-    src = (resources.files("concordant") / "fixtures" / "n142.fixture").read_text()
+    src = (resources.files("concordant") / "fixtures" / f"{name}.fixture").read_text()
     assert old in src
     ref = tmp_path / "edited.fixture"
     ref.write_text(src.replace(old, new))
     return str(ref)
+
+
+def _edited_n142(tmp_path, old, new):
+    return _edited_fixture(tmp_path, "n142", old, new)
 
 
 ZAGIER_ARGS = [
@@ -200,6 +206,42 @@ class TestSolveCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["quadruple"] == ["2352960", "1604507", "-1411786", "-52241"]
         assert report["stats"]["mu"] == "-71"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p", "1", "--q", "3", "--k", "5"], "records k = 142, not 5"),
+            (["--p", "1", "--q", "3", "--k", "23"], "records k = 142, not 23"),
+            (["--p", "1", "--q", "1", "--k", "5"], "records q = 3, not 1"),
+            (["--M", "142", "--N", "-142"], "records q = 3, not 1"),
+            (
+                ["--p", "1", "--q", "3", "--k", "142", "--triplet", "2,1,2"],
+                "records triplet = (1, 2, 2), not (2, 1, 2)",
+            ),
+            # -1 is a candidate, but pin_gamma parametrizes Q4 of mu = -71
+            (
+                ["--p", "1", "--q", "3", "--k", "142", "--mu=-1"],
+                "records pin_gamma for mu = -71, not -1",
+            ),
+        ],
+    )
+    def test_flag_that_contradicts_the_fixture(self, capsys, flags, message):
+        assert main(["solve", *flags, "--fixture", "n142"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: fixture n142 {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--p", "1", "--q", "3", "--k", "142", "--triplet", "1,2,2", "--mu=-71"],
+            ["--M", "142", "--N", "-426"],
+        ],
+    )
+    def test_flags_that_agree_with_the_fixture(self, capsys, flags):
+        assert main(["solve", *flags, "--fixture", "n142", "--format", "json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["quadruple"] == ["2352960", "1604507", "-1411786", "-52241"]
 
     @pytest.mark.parametrize("mu, completion_used", [("1", False), ("5", True)])
     def test_mu_pin(self, capsys, mu, completion_used):
@@ -637,19 +679,45 @@ class TestReproduceCommand:
         assert main(["reproduce", "--fixture", "n142"]) == EXIT_OK
         assert main(["reproduce", "--fixture", "missing-name"]) == EXIT_USAGE
 
-    def test_corrupted_base_point_rejected(self, tmp_path):
-        ref = tmp_path / "broken.fixture"
-        lines = []
-        import importlib.resources as resources
+    def test_phi_that_misses_q1_rejected(self, tmp_path, capsys):
+        # rows of the right shape that do not sweep Q1 = 3*X0^2 - 8*X1^2 + 2*X2^2
+        path = _edited_n142(
+            tmp_path, "pin_phi = 0,16,0;8,0,3;-16,0,6", "pin_phi = 0,16,0;8,0,3;-16,0,7"
+        )
+        assert main(["reproduce", "--fixture", path]) == EXIT_MISMATCH
+        captured = capsys.readouterr()
+        assert "pinned parametrization does not sweep the conic" in captured.err
+        assert captured.out == ""
 
-        src = (resources.files("concordant") / "fixtures" / "n142.fixture").read_text()
-        for line in src.splitlines():
-            if line.startswith("pin_base_q1"):
-                lines.append("pin_base_q1 = 1,1,1")
-            else:
-                lines.append(line)
-        ref.write_text("\n".join(lines))
-        assert main(["reproduce", "--fixture", str(ref)]) == EXIT_MISMATCH
+    def test_k23_pins_nothing(self):
+        # its replay is the plain production solve of the class
+        assert pins_from_fixture(load_fixture("k23-weak")) == StagePins()
+
+    @pytest.mark.parametrize(
+        "name, old, new, mismatch",
+        [
+            ("k23-weak", "failure = 1", "failure = 0", "pair found, got condition-failure"),
+            ("n142", "pin_mu = -71", "pin_mu = -71\nexpect_condition_failure = 0", None),
+            (
+                "n142",
+                "pin_mu = -71",
+                "pin_mu = -71\nexpect_condition_failure = 1",
+                "condition-failure, got pair found",
+            ),
+        ],
+    )
+    def test_condition_expectation_is_compared_both_ways(
+        self, tmp_path, capsys, name, old, new, mismatch
+    ):
+        # 1 expects that no quadric has a zero-coordinate point, 0 that one has
+        code = main(["reproduce", "--fixture", _edited_fixture(tmp_path, name, old, new)])
+        captured = capsys.readouterr()
+        if mismatch is None:
+            assert code == EXIT_OK
+            assert "  condition: ok\n" in captured.out
+        else:
+            assert code == EXIT_MISMATCH
+            assert captured.err == f"reproduction mismatch: stage 'condition': expected {mismatch}\n"
 
     def test_corrupted_expectation_mismatch(self, tmp_path):
         import importlib.resources as resources
@@ -676,7 +744,11 @@ class TestMalformedFixture:
         [
             ("triplet = 1,2,2", "triplet = 1,2", "triplet"),
             ("pin_phi = 0,16,0;8,0,3;-16,0,6", "pin_phi = 1,2,3", "pin_phi"),
-            ("pin_base_q4 = 4,1,4", "pin_base_q4 = 4,1", "pin_base_q4"),
+            (
+                "pin_gamma = -5,10,279;-19,180,-90;-5,81,-360",
+                "pin_gamma = -5,10,279;-19,180,-90",
+                "pin_gamma",
+            ),
         ],
     )
     @pytest.mark.parametrize("argv, code, prefix", ENTRY_POINTS)
@@ -687,11 +759,19 @@ class TestMalformedFixture:
         assert f"{key} must be" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, code, prefix", ENTRY_POINTS)
+    def test_gamma_without_its_mu(self, tmp_path, capsys, argv, code, prefix):
+        # pin_gamma parametrizes Q4 of one square factor
+        assert main([*argv, _edited_n142(tmp_path, "pin_mu = -71\n", "")]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(prefix)
+        assert "pin_gamma needs the pin_mu of its Q4" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "old, new, key", [("k = 142", "k = 1,2", "k"), ("q = 3", "q = 3/2", "q")]
     )
     def test_malformed_curve_is_a_mismatch(self, tmp_path, capsys, old, new, key):
-        # only reproduce reads the curve from the fixture
         path = _edited_n142(tmp_path, old, new)
         assert main(["reproduce", "--fixture", path]) == EXIT_MISMATCH
         captured = capsys.readouterr()
@@ -699,11 +779,22 @@ class TestMalformedFixture:
         assert f"{key} must be an integer" in captured.err
         assert captured.out == ""
 
+    def test_malformed_curve_in_solve(self, tmp_path, capsys):
+        # solve compares the fixture's curve with its flags
+        assert main([*self.SOLVE, _edited_n142(tmp_path, "k = 142", "k = 1,2")]) == EXIT_USAGE
+        assert "k must be an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "old, new, key",
         [
             ("expect_cross_term = -9088", "expect_crossterm = -9090", "expect_crossterm"),
             ("pin_mu = -71", "pin_mu = -71\npin_sigma = 3", "pin_sigma"),
+            # the paper's base points are not pinned: the rows are
+            (
+                "pin_psi = -90,81,-20;-719,640,-144;-9,40,-16",
+                "pin_psi = -90,81,-20;-719,640,-144;-9,40,-16\npin_base_q3 = 10,9,1",
+                "pin_base_q3",
+            ),
         ],
     )
     @pytest.mark.parametrize("argv, code, prefix", ENTRY_POINTS)

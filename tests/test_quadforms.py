@@ -494,9 +494,7 @@ class TestParametrizeConic:
 
 # the first stage of the n = 142 chain: Q1 = 3*X0^2 - 8*X1^2 + 2*X2^2 swept
 # from (0, 1, 2), pushed through Q2 = X0^2 - 2*X1^2 - 142*X3^2
-PHI_142 = ConicParametrization(
-    ((0, 16, 0), (8, 0, 3), (-16, 0, 6)), (0, 1, 2), TernaryForm(3, 0, -8, 2)
-)
+PHI_142 = ConicParametrization(((0, 16, 0), (8, 0, 3), (-16, 0, 6)), TernaryForm(3, 0, -8, 2))
 Q2_142 = (1, -2, -142)
 
 
@@ -521,7 +519,6 @@ class TestSubstitution:
     def test_third_stage_substitution_is_proportional_to_published(self):
         gamma = ConicParametrization(
             ((-5, 10, 279), (-19, 180, -90), (-5, 81, -360)),
-            (4, 1, 4),
             TernaryForm(-90, 81, -20, 71),
         )
         published = (-9159, 359260, -5176610, 32218380, -73204479)
@@ -555,7 +552,6 @@ class TestSubstitution:
                     expected[i] += coef * prod[i]
             param = ConicParametrization.__new__(ConicParametrization)
             object.__setattr__(param, "rows", rows)
-            object.__setattr__(param, "base_point", (0, 0, 1))
             object.__setattr__(param, "source", None)
             assert compose_quartic((b00, b01, b11), param) == tuple(expected)
 

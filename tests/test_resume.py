@@ -19,9 +19,7 @@ from concordant.solver import StagePins, prepare_search, strong_solve
 
 # n = 142, class (1, 2, 2): the published chain
 PINNED_142 = dict(
-    base_q1=(0, 1, 2),
     phi_rows=((0, 16, 0), (8, 0, 3), (-16, 0, 6)),
-    base_q3=(10, 9, 1),
     psi_rows=((-90, 81, -20), (-719, 640, -144), (-9, 40, -16)),
 )
 
@@ -150,7 +148,6 @@ class TestResumedSearch:
         pins = StagePins(
             **PINNED_142,
             mu=-71,
-            base_q4=(4, 1, 4),
             gamma_rows=((-5, 10, 279), (-19, 180, -90), (-5, 81, -360)),
         )
         results = assert_resumes_like_fresh(_space(1, 3, 142, (1, 2, 2)), [1, 200, 500], pins)

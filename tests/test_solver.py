@@ -73,9 +73,9 @@ def signed_divisors(primes):
 
 def pinned_chain_psi():
     q1 = TernaryForm(3, 0, -8, 2)
-    phi = pinned_parametrization(q1, (0, 1, 2), PHI_142)
+    phi = pinned_parametrization(q1, PHI_142)
     q3 = substituted_conic(phi, (1, -2, -142))
-    return phi, q3, pinned_parametrization(q3, (10, 9, 1), PSI_142)
+    return phi, q3, pinned_parametrization(q3, PSI_142)
 
 
 class TestSelectEquationPair:
@@ -104,7 +104,7 @@ class TestWeakSolve:
     def test_published_fallback(self):
         hs = build_homogeneous_space(DescentTriplet(2, 3, 6), 23, -69)
         sel = weak_pair(hs)
-        out = weak_solve(sel.q1, sel.q2, 50, base=(1, 1, 1))
+        out = weak_solve(sel.q1, sel.q2, 50)
         assert tuple(abs(v) for v in out.quadruple) == (7, 5, 1, 1)
         point = lift_solution(
             DescentTriplet(2, 3, 6), 23, -69, solution_in_space_order(sel, out.quadruple)
@@ -123,7 +123,7 @@ class TestWeakSolve:
     def test_height_ratio_diagnostic(self):
         hs = build_homogeneous_space(DescentTriplet(2, 3, 6), 23, -69)
         sel = weak_pair(hs)
-        out = weak_solve(sel.q1, sel.q2, 50, base=(1, 1, 1))
+        out = weak_solve(sel.q1, sel.q2, 50)
         # the reported heights are read off the typed hit
         assert (out.parameter, out.pairs_tested) == ((-1, 1), 2)
         assert log_height(out.parameter) == 0.0
@@ -212,9 +212,7 @@ class TestMiddleStages:
             hs = build_homogeneous_space(DescentTriplet(1, -1, -1), k, -k)
             sel = select_equation_pair(hs)
             q1 = TernaryForm(sel.q1[0], 0, sel.q1[1], sel.q1[2])
-            phi = pinned_parametrization(
-                q1, sel.base, tuple(parametrize_conic(q1, sel.base).rows)
-            )
+            phi = pinned_parametrization(q1, tuple(parametrize_conic(q1, sel.base).rows))
             conic = substituted_conic(phi, sel.q2)
             assert conic.coefficients == (1, 0, 4, -k)
 
@@ -227,9 +225,7 @@ class TestMiddleStages:
 
     def test_kernel_scaling_invariance(self):
         _, q3, psi = pinned_chain_psi()
-        scaled = pinned_parametrization(
-            q3, (10, 9, 1), tuple(tuple(3 * c for c in row) for row in psi.rows)
-        )
+        scaled = pinned_parametrization(q3, tuple(tuple(3 * c for c in row) for row in psi.rows))
         assert parameter_kernel(scaled) == parameter_kernel(psi)
 
     def test_cross_term(self):
@@ -412,27 +408,13 @@ class TestFinalLoop:
         # with the published middle stages, the other surviving candidate
         # yields no hit inside radius 200
         hs = build_homogeneous_space(DescentTriplet(1, 2, 2), 142, -426)
-        pins = StagePins(
-            base_q1=(0, 1, 2),
-            phi_rows=PHI_142,
-            base_q3=(10, 9, 1),
-            psi_rows=PSI_142,
-            mu=-1,
-        )
+        pins = StagePins(phi_rows=PHI_142, psi_rows=PSI_142, mu=-1)
         with pytest.raises(EffortExhausted):
             strong_solve(hs, 200, pins=pins)
 
     def test_pinned_chain_end_to_end(self):
         hs = build_homogeneous_space(DescentTriplet(1, 2, 2), 142, -426)
-        pins = StagePins(
-            base_q1=(0, 1, 2),
-            phi_rows=PHI_142,
-            base_q3=(10, 9, 1),
-            psi_rows=PSI_142,
-            mu=-71,
-            base_q4=(4, 1, 4),
-            gamma_rows=GAMMA_142,
-        )
+        pins = StagePins(phi_rows=PHI_142, psi_rows=PSI_142, mu=-71, gamma_rows=GAMMA_142)
         # the final scan finds the published parameters (20, 3)
         with pytest.raises(EffortExhausted):
             strong_solve(hs, 1, pins=pins)
@@ -531,14 +513,24 @@ class TestStrongSolve:
         q1 = TernaryForm(3, 0, -8, 2)
         _, q3, _ = pinned_chain_psi()
         for form, base in ((q1, (0, 1, 2)), (q3, (10, 9, 1)), (q3, find_conic_point(q3))):
-            assert pinned_parametrization(form, base) == parametrize_conic(form, base)
+            assert pinned_parametrization(form, base=base) == parametrize_conic(form, base)
+        # without a base, from the conic's first point
+        assert pinned_parametrization(q3) == parametrize_conic(q3, find_conic_point(q3))
+        # the paper's psi and gamma are the ones its base points give, and
+        # its phi is the one from (0, 1, 2) at (2s, t)
+        phi = pinned_parametrization(q1, base=(0, 1, 2))
+        assert tuple((4 * a, 2 * b, c) for a, b, c in phi.rows) == PHI_142
+        assert pinned_parametrization(q3, base=(10, 9, 1)).rows == PSI_142
+        q4 = TernaryForm(-90, 81, -20, 71)
+        assert pinned_parametrization(q4, base=(4, 1, 4)).rows == GAMMA_142
 
     def test_pinned_parametrization_validation(self):
         q1 = TernaryForm(3, 0, -8, 2)
-        with pytest.raises(InvalidArgument):
-            pinned_parametrization(q1, (1, 1, 1), PHI_142)
-        with pytest.raises(InvalidArgument):
-            pinned_parametrization(q1, (0, 1, 2), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        _, q3, _ = pinned_chain_psi()
+        with pytest.raises(InvalidArgument, match="does not sweep"):
+            pinned_parametrization(q3, PHI_142)
+        with pytest.raises(InvalidArgument, match="does not sweep"):
+            pinned_parametrization(q1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 _SQUAREFREE_MU = (1, -1, 2, -2, 3, -5, 6, -7, 11, -15, 23, -29, 46, -105, 1155, -30030)
