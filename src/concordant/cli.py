@@ -8,9 +8,10 @@ Subcommands:
   series      run a curve family, one CSV row per solved curve
   reproduce   replay a pinned fixture chain and diff every stage
 
-Exit codes: 0 success, 2 usage error, 3 search effort exhausted,
-4 reproduction mismatch.  All integers cross the interface as decimal
-strings; heights are printed with two decimals.
+Exit codes: 0 success, 1 stdout closed by its reader before the output was
+written, 2 usage error, 3 search effort exhausted, 4 reproduction mismatch.
+All integers cross the interface as decimal strings; heights are printed
+with two decimals.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import dataclasses
 import functools
 import gc
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -51,6 +53,7 @@ from .integers import is_perfect_square
 from .solver import PreparedSearch, SearchOutcome, StagePins, prepare_search
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 EXIT_MISMATCH = 4
@@ -752,8 +755,8 @@ def run_reproduce(fixture: Fixture) -> dict:
 # ---------------------------------------------------------------------------
 # output
 
-def _emit(report, fmt: str, stream=None):
-    stream = stream or sys.stdout
+def _emit(report, fmt: str):
+    stream = sys.stdout
     if fmt == "json":
         json.dump(report, stream, sort_keys=True, indent=2, default=str)
         stream.write("\n")
@@ -918,7 +921,14 @@ def main(argv=None) -> int:
     except ConcordantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(report, args.format)
+    try:
+        _emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
     elapsed = time.perf_counter() - started
     print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)
     if args.command == "verify" and not report.get("valid", False):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,27 +41,6 @@ def is_perfect_square(n: int) -> Optional[int]:
 
 # ---------------------------------------------------------------------------
 # factoring
-
-_SPF_LIMIT = 1 << 20
-_spf_table: array | None = None
-
-
-def _spf() -> array:
-    # smallest-prime-factor sieve; built once, on first use.  An array, not a
-    # list, so the collector never walks its million entries and building it
-    # makes no int object per entry.  The smallest prime p of a composite has
-    # p*p <= it, so writing the multiples of each prime up to the square root
-    # of the limit, largest prime first, leaves the smallest prime in place.
-    global _spf_table
-    if _spf_table is None:
-        small = range(2, math.isqrt(_SPF_LIMIT) + 1)
-        primes = [p for p in small if all(p % d for d in range(2, math.isqrt(p) + 1))]
-        table = array("L", range(_SPF_LIMIT))
-        for p in reversed(primes):
-            table[p * p :: p] = array("L", [p]) * len(range(p * p, _SPF_LIMIT, p))
-        _spf_table = table
-    return _spf_table
-
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # the least strong pseudoprime to every base of _MR_BASES
@@ -203,11 +181,16 @@ class Factorization:
 def factorize(n: int, budget: int = 1_000_000) -> Factorization:
     """Complete factorization of n != 0.
 
-    Trial division by 2, 3, 5 and a wheel over 30, the smallest-prime-factor
-    table for every cofactor below its limit, and Miller-Rabin + Brent rho
-    for the rest.  `budget` caps the total rho iterations;
-    exceeding it with a composite cofactor raises FactorizationIncomplete
-    rather than silently treating the cofactor as prime.
+    Trial division by 2, 3, 5 and a wheel over 30.  A cofactor below 2^20
+    is finished by the wheel, which runs to its square root (at most about
+    270 steps).  From 2^20 up a cofactor is tested for primality before the
+    wheel starts and after each prime it strips, and what the wheel leaves
+    is split by Miller-Rabin + Brent rho.  `budget` bounds the iterations
+    of each rho split, not their total: the product of the primes
+    1000000007, 1000007923, 1000015859 and 1000023763 factors at
+    budget=46719, though its three splits take 27647, 32383 and 46719.  A
+    split that exceeds it raises FactorizationIncomplete rather than
+    silently treating the cofactor as prime.
     """
     if n == 0:
         raise InvalidArgument("cannot factor 0")
@@ -222,31 +205,26 @@ def factorize(n: int, budget: int = 1_000_000) -> Factorization:
         while m % p == 0:
             _add(p)
             m //= p
-    # wheel over 30 for the small range; a prime or table-sized cofactor
-    # ends it, so a prime cofactor does not run the whole wheel
+    # wheel over 30; from 2^20 up a prime cofactor ends it, so a prime does
+    # not run the whole wheel
     k, wheel = 7, (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    done = m < _SPF_LIMIT or is_probable_prime(m)
+    done = m >= 1 << 20 and is_probable_prime(m)
     while not done and k * k <= m and k < 1 << 16:
         if m % k == 0:
             while m % k == 0:
                 _add(k)
                 m //= k
-            done = m < _SPF_LIMIT or is_probable_prime(m)
+            done = m >= 1 << 20 and is_probable_prime(m)
         k += wheel[i]
         i = (i + 1) % 8
     stack = [m]
     while stack:
         v = stack.pop()
-        if v < _SPF_LIMIT:
-            # the one place that walks the smallest-prime-factor table
-            table = _spf()
-            while v > 1:
-                p = table[v]
-                _add(p)
-                v //= p
+        if v == 1:
             continue
-        if is_probable_prime(v):
+        # no prime below k divides v, so below k*k it is prime
+        if v < k * k or is_probable_prime(v):
             _add(v)
             continue
         root = is_perfect_square(v)

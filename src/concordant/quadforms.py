@@ -177,7 +177,11 @@ def diagonal_model(form: TernaryForm) -> TernaryForm:
     return TernaryForm(1, 0, 4 * a00 * a11 - a01 * a01, 4 * a00 * a22)
 
 
-def find_conic_point(form: TernaryForm, max_evaluations: int = 20_000_000) -> Triple:
+# the most points a Holzer box may hold before find_conic_point gives up
+MAX_BOX_POINTS = 20_000_000
+
+
+def find_conic_point(form: TernaryForm) -> Triple:
     """Smallest point on form = 0 under (max-norm, lexicographic) order of the
     reduced diagonal model a*X0^2 + b*X1^2 + c*X2^2, taken over the Holzer
     box |Xi| <= isqrt(|bc|), isqrt(|ac|), isqrt(|ab|) and mapped back to the
@@ -204,7 +208,7 @@ def find_conic_point(form: TernaryForm, max_evaluations: int = 20_000_000) -> Tr
     cross term, undoes U = 2*a00*X0 + a01*X1.
 
     Raises NoSolution when the criterion rules the form out, EffortExhausted
-    when the Holzer box holds more than max_evaluations points.  The policy
+    when the Holzer box holds more than MAX_BOX_POINTS points.  The policy
     counts every point of the box, not the lattice points searched.
     """
     if form.a00 == 0:
@@ -216,7 +220,7 @@ def find_conic_point(form: TernaryForm, max_evaluations: int = 20_000_000) -> Tr
     a, b, c = coeffs = red.coefficients
     bounds = (math.isqrt(abs(b * c)), math.isqrt(abs(a * c)), math.isqrt(abs(a * b)))
     volume = math.prod(2 * bound + 1 for bound in bounds)
-    if volume > max_evaluations:
+    if volume > MAX_BOX_POINTS:
         raise EffortExhausted(f"Holzer box of {volume} points exceeds the policy")
     hit = _smallest_root(coeffs, bounds, conditions)
     if hit is None:

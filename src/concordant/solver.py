@@ -55,11 +55,12 @@ Quad = tuple[int, int, int, int]
 class PairSelection:
     """Two quadrics renamed to the shared shape: Q1 in (X0, X1, X2) with a
     zero-X0 base point, Q2 in (X0, X1, X3); var_order records which original
-    space variable sits in each X slot."""
+    space variable sits in each X slot.  A weak selection has no base point:
+    its base is None."""
 
     q1: Triple
     q2: Triple
-    base: Triple
+    base: Optional[Triple]
     var_order: tuple[str, str, str, str]
 
 
@@ -98,11 +99,12 @@ def select_equation_pair(space: HomogeneousSpace) -> PairSelection:
 
 
 def weak_pair(space: HomogeneousSpace) -> PairSelection:
-    """Fallback pairing (no zero-coordinate base needed): the x-eliminated
-    quadric in (a, b, c) with the (a, b, d) quadric as partner."""
+    """Fallback pairing (no zero-coordinate base needed, so base is None):
+    the x-eliminated quadric in (a, b, c) with the (a, b, d) quadric as
+    partner."""
     q1 = _reorder_diag(space.e_d, ("a", "b", "c"), ("a", "b", "c"))
     q2 = _reorder_diag(space.e_a, ("a", "b", "d"), ("a", "b", "d"))
-    return PairSelection(q1, q2, (0, 0, 0), ("a", "b", "c", "d"))
+    return PairSelection(q1, q2, None, ("a", "b", "c", "d"))
 
 
 def solution_in_space_order(sel: PairSelection, quad: Quad) -> Quad:

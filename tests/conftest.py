@@ -610,15 +610,6 @@ def random_curve_with_point(rng: random.Random):
         return curve, point
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_factor_table():
-    # the smallest-prime-factor sieve is built lazily on first use; pay that
-    # one-time cost here so per-case timing assertions measure real work
-    from concordant.integers import squarefree_part
-
-    squarefree_part(2 * 3 * 5 * 7 * 7)
-
-
 @pytest.fixture
 def rng():
     return random.Random(20260808)

@@ -14,6 +14,7 @@ import concordant
 import concordant.cli
 import concordant.solver
 from concordant.cli import (
+    EXIT_CLOSED,
     EXIT_EXHAUSTED,
     EXIT_MISMATCH,
     EXIT_OK,
@@ -93,6 +94,19 @@ class TestClassifyCommand:
 
     def test_usage_error_without_curve(self):
         assert main(["classify"]) == EXIT_USAGE
+
+    def test_reader_that_closes_stdout(self):
+        # 2.9 MB of text; the reader keeps the first line, as `| head -1` does
+        env = {**os.environ, "PYTHONPATH": str(Path(concordant.__file__).parents[1])}
+        argv = ["-m", "concordant", "classify", "--p", "1", "--q", "3", "--k", "6678671"]
+        with subprocess.Popen(
+            [sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"curve p=1 q=3 k=6678671:")
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=300) == EXIT_CLOSED
+        assert "Traceback" not in err, err
 
     def test_not_normalized_curve(self):
         assert main(["classify", "--M", "4", "--N", "-4"]) == EXIT_USAGE

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import concordant
 from concordant.errors import FactorizationIncomplete, InvalidArgument
 from concordant.integers import (
     factorize,
@@ -20,8 +25,8 @@ class TestSquarefreePart:
         assert squarefree_part(-9088) == (-142, 8)
         assert squarefree_part(1) == (1, 1)
         assert squarefree_part(-1) == (-1, 1)
-        # either side of the factor table's limit 2^20, and primes above
-        # 2^16 that only Brent rho splits
+        # either side of 2^20, below which the wheel finishes a cofactor,
+        # and primes above 2^16 that only Brent rho splits
         assert squarefree_part(2**20 - 1) == (3 * 11 * 31 * 41, 5)
         assert squarefree_part(-(2**20)) == (-1, 2**10)
         assert squarefree_part(2**20 + 1) == (2**20 + 1, 1)
@@ -59,6 +64,22 @@ class TestPerfectSquare:
             assert is_perfect_square(n * n + 1) is None or n * n + 1 == (n + 1) ** 2
 
 
+# every n in 2^20 +- 500, products and squares of primes either side of
+# 2^10, primes either side of 2^20 and below 2^32, and products of primes
+# either side of 2^16
+BOUNDARY_CASES = [
+    *range(2**20 - 500, 2**20 + 501),
+    1019 * 1021,
+    1021**2,
+    1031**2,
+    1048573,
+    1048583,
+    4294967291,
+    65519 * 65521,
+    65537 * 65539,
+]
+
+
 class TestFactorize:
     def test_discriminant_style(self):
         f = factorize(16 * 157**6)
@@ -72,7 +93,7 @@ class TestFactorize:
 
     def test_trial_division_oracle(self):
         # independent trial-division factorization of the quartic's lead,
-        # and either side of the factor table's limit 2^20
+        # and either side of 2^20, below which the wheel finishes a cofactor
         for n in (9159, 2**20 - 1, 2**20, 2**20 + 1):
             expected = []
             m, p = n, 2
@@ -103,6 +124,24 @@ class TestFactorize:
             factorize(n, budget=2)
         assert info.value.cofactor > 1
 
+    def test_no_table_in_memory(self):
+        # factoring either side of 2^20 allocates no table: in a fresh
+        # interpreter, the traced peak after the import stays under 1 MB
+        script = (
+            "import tracemalloc\n"
+            "from concordant.integers import factorize\n"
+            "tracemalloc.start()\n"
+            f"for n in {BOUNDARY_CASES!r}:\n"
+            "    factorize(n)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(concordant.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, env=env, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1 << 20, f"traced peak {proc.stdout.strip()} B"
+
     def test_semiprime_beyond_table(self):
         p, q = 1_000_003, 1_000_033
         assert factorize(p * q).factors == ((p, 1), (q, 1))
@@ -121,6 +160,7 @@ class TestFactorize:
             wheel = sympy.nextprime(rng.randrange(2**10, 2**16 - 20))
             cases += [big, wheel * big, wheel * sympy.nextprime(rng.randrange(2**16, 10**8))]
             cases.append(rng.randrange(2, 10 ** rng.randint(6, 24)))
+        cases += BOUNDARY_CASES
         for n in cases:
             for signed in (n, -n):
                 f = factorize(signed)

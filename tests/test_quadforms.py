@@ -116,9 +116,9 @@ class TestReduceToLegendre:
     def test_matches_fraction_oracle(self, rng):
         # the integer divisors give the same reduction and the same mapped
         # points as the Fraction back-map matrix
-        # above the factor table: a wheel-range prime times a prime above
-        # 2^20, two primes above 2^16 (rho), squares of both, shared by
-        # two coefficients or by all three
+        # from 2^20 up, where a primality test can stop the wheel: a
+        # wheel-range prime times a prime above 2^20, two primes above 2^16
+        # (rho), squares of both, shared by two coefficients or by all three
         big = (1009 * 1048583, 65537 * 65539, 1048583**2, 3 * 65539**2, 2**21 * 1048583)
 
         def drawn_big():
@@ -245,12 +245,13 @@ class TestFindConicPoint:
             checked += 1
         assert checked >= 10
 
-    def test_matches_cubic_oracle(self):
+    def test_matches_cubic_oracle(self, monkeypatch):
         # same point or same error as the cubic shell scan with Fraction back
         # maps; a smaller box policy keeps the cubic scan quick and still
         # sends a share of the forms down the policy path
         rng = random.Random(20261017)
         policy = 1_000_000
+        monkeypatch.setattr(quadforms, "MAX_BOX_POINTS", policy)
         outcomes = {"point": 0, "NoSolution": 0, "EffortExhausted": 0}
         forms = 0
         while forms < 3000:
@@ -263,7 +264,7 @@ class TestFindConicPoint:
                 continue
             forms += 1
             expected = _outcome(oracle_find_conic_point, form, policy)
-            assert _outcome(find_conic_point, form, policy) == expected, form
+            assert _outcome(find_conic_point, form) == expected, form
             outcomes[expected[0] if isinstance(expected[0], str) else "point"] += 1
         assert outcomes["point"] >= 500
         assert outcomes["NoSolution"] >= 500
@@ -293,16 +294,17 @@ class TestFindConicPoint:
         kinds = set()
         for form in forms:
             expected = _outcome(oracle_shell_find_conic_point, form, 20_000_000)
-            assert _outcome(find_conic_point, form, 20_000_000) == expected, form
+            assert _outcome(find_conic_point, form) == expected, form
             kinds.add(expected[0] if isinstance(expected[0], str) else "point")
         assert kinds == {"point", "EffortExhausted"}
 
-    def test_matches_shell_oracle_on_planted_forms(self):
+    def test_matches_shell_oracle_on_planted_forms(self, monkeypatch):
         # a planted point (x0, x1, 1) on a*X0^2 + b*X1^2 + c*X2^2 with a, b
         # products of up to three small primes: every form is solvable, and
         # most reduce to coefficients with three to five odd primes, so many
         # congruence lattices and sign orbits are searched
         rng = random.Random(20261018)
+        monkeypatch.setattr(quadforms, "MAX_BOX_POINTS", 2_000_000)
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
         points = forms = 0
         while forms < 1000:
@@ -317,18 +319,19 @@ class TestFindConicPoint:
                 continue
             forms += 1
             expected = _outcome(oracle_shell_find_conic_point, form, 2_000_000)
-            assert _outcome(find_conic_point, form, 2_000_000) == expected, form
+            assert _outcome(find_conic_point, form) == expected, form
             points += not isinstance(expected[0], str)
         assert points >= 300
 
-    def test_large_box_with_the_policy_lifted(self):
+    def test_large_box_with_the_policy_lifted(self, monkeypatch):
         # the reduced form has |abc| near 1.7e20: a basis reduction in floats
         # stalls there with entries near the modulus, the integral one does not
         form = TernaryForm(653160, 0, -267854, -2340205991850)
         assert reduce_to_legendre(form).coefficients == (27215, -401781, -15601373279)
         with pytest.raises(EffortExhausted):
             find_conic_point(form)
-        point = find_conic_point(form, 10**40)
+        monkeypatch.setattr(quadforms, "MAX_BOX_POINTS", 10**40)
+        point = find_conic_point(form)
         assert form(*point) == 0
         assert primitive_normalize(point) == point
 
@@ -364,9 +367,10 @@ def _log_uniform_coefficient(rng, nonzero=False):
             return v
 
 
-def _outcome(search, form, policy):
+def _outcome(search, form, *policy):
+    # an oracle takes its policy; find_conic_point reads MAX_BOX_POINTS
     try:
-        return search(form, policy)
+        return search(form, *policy)
     except ConcordantError as exc:
         return (type(exc).__name__, str(exc))
 

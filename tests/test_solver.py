@@ -104,6 +104,8 @@ class TestWeakSolve:
     def test_published_fallback(self):
         hs = build_homogeneous_space(DescentTriplet(2, 3, 6), 23, -69)
         sel = weak_pair(hs)
+        # the weak search finds its own point on Q1
+        assert sel.base is None
         out = weak_solve(sel.q1, sel.q2, 50)
         assert tuple(abs(v) for v in out.quadruple) == (7, 5, 1, 1)
         point = lift_solution(
