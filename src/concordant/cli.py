@@ -10,6 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 stdout closed by its reader before the output was
 written, 2 usage error, 3 search effort exhausted, 4 reproduction mismatch.
+A class whose hit lifts to a torsion point counts as exhausted, so a solve
+that finds nothing else exits 3.
 All integers cross the interface as decimal strings; heights are printed
 with two decimals.
 """
@@ -26,8 +28,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from multiprocessing import Pipe, Process
-from multiprocessing.connection import wait
 from types import SimpleNamespace
 
 from .curves import ConcordantCurve, CurvePoint, log_height, point_log_height
@@ -59,17 +59,6 @@ EXIT_EXHAUSTED = 3
 EXIT_MISMATCH = 4
 
 
-def _s(value) -> str:
-    """Decimal-string encoding for arbitrary-precision values."""
-    # exact-type test first: isinstance against Fraction goes through the
-    # numbers ABCs, and almost every value encoded is a plain int
-    if type(value) is int:
-        return str(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    return str(int(value))
-
-
 def _height_str(h: float) -> str:
     return f"{h:.2f}"
 
@@ -77,7 +66,7 @@ def _height_str(h: float) -> str:
 def _point_json(p: CurvePoint):
     if p.is_infinity:
         return {"infinity": True}
-    return {"x": _s(p.x), "y": _s(p.y)}
+    return {"x": str(p.x), "y": str(p.y)}
 
 
 # ---------------------------------------------------------------------------
@@ -180,47 +169,39 @@ def _solve_pins(fixture: Fixture, pqk, triplet: DescentTriplet | None, mu: int |
 
 def run_classify(p: int, q: int, k: int) -> dict:
     cls = classify(p, q, k)
+    encoded = {}  # triplet -> its [A, B, C] strings, the one list for it in the report
     classes_json = []
     for c in cls.classes:
+        members = [[str(v) for v in t.as_tuple()] for t in c["members"]]
+        encoded.update(zip(c["members"], members))
         classes_json.append(
             {
-                "representative": [_s(v) for v in c["representative"].as_tuple()],
-                "members": [[_s(v) for v in t.as_tuple()] for t in c["members"]],
+                "representative": members[0],
+                "members": members,
                 "is_torsion_class": c["is_torsion_class"],
                 "survives": c["survives"],
                 "verdicts": [
-                    {
-                        "triplet": [_s(v) for v in t.as_tuple()],
-                        "solvable": ok,
-                        "evidence": ev,
-                    }
+                    {"triplet": encoded[t], "solvable": ok, "evidence": ev}
                     for t, ok, ev in c["verdicts"]
                 ],
             }
         )
     return {
         "command": "classify",
-        "curve": {"p": _s(p), "q": _s(q), "k": _s(k), "m": _s(p * k), "n": _s(-q * k)},
-        "generators": [_s(g) for g in cls.generators],
+        "curve": {"p": str(p), "q": str(q), "k": str(k), "m": str(p * k), "n": str(-q * k)},
+        "generators": [str(g) for g in cls.generators],
         "group_size": cls.group_size,
         "triplet_count": len(cls.triplets),
         "classes": classes_json,
-        "surviving_triplets": [[_s(v) for v in t.as_tuple()] for t in cls.surviving_triplets],
+        "surviving_triplets": [encoded[t] for t in cls.surviving_triplets],
         "surviving_class_representatives": [
-            [_s(v) for v in c["representative"].as_tuple()] for c in cls.surviving_classes
+            encoded[c["representative"]] for c in cls.surviving_classes
         ],
     }
 
 
 # ---------------------------------------------------------------------------
 # solve
-
-def _verify_point(curve: ConcordantCurve, point: CurvePoint):
-    if not curve.contains(point):
-        raise InvalidArgument(f"{point} fails the curve equation")
-    if curve.is_torsion(point):
-        raise InvalidArgument(f"{point} is a torsion point")
-
 
 @contextlib.contextmanager
 def _job_map(workers: int):
@@ -250,6 +231,9 @@ class _WorkerPool:
     terminate() wait forever; stopping one of these mid-job holds nothing."""
 
     def __init__(self, workers: int):
+        # imported here: only a run with more than one worker needs them
+        from multiprocessing import Pipe, Process
+
         self.workers = []
         for _ in range(workers):
             here, there = Pipe()
@@ -272,6 +256,8 @@ class _WorkerPool:
         """func over items, one job per idle worker, yielding the results in
         the order of items; a job's exception is raised in its place.  One
         imap at a time: each takes every worker to be idle."""
+        from multiprocessing.connection import wait
+
         jobs = enumerate(items)
         idle = [conn for _, conn in self.workers]
         running, done, want = {}, {}, 0
@@ -321,10 +307,11 @@ def _search_class(
     triplet at the first rung and, after that, what the previous rung
     returned for it: its prepared search, advanced that far, or the triplet
     again when preparing it failed.  Returns (state, result), where result
-    is (outcome, point), the point lifted to the curve and checked there,
-    or the EffortExhausted that ends the class at this rung.  A class whose
-    search runs out, whose space is provably empty or degenerate, or whose
-    square factors outrun the factoring budget is exhausted."""
+    is (outcome, point), the point lifted to the curve and checked there
+    by `lift_solution`, or the EffortExhausted that ends the class at this
+    rung.  A class whose search runs out, whose space is provably empty or
+    degenerate, whose square factors outrun the factoring budget, or whose
+    hit lifts to a torsion point (d = 0 among them) is exhausted."""
     t = state if isinstance(state, DescentTriplet) else state.space.triplet
     try:
         if state is t:
@@ -334,8 +321,11 @@ def _search_class(
         return state, exc
     except (NoSolution, DegenerateKernel, FactorizationIncomplete) as exc:
         return state, EffortExhausted(f"{t.as_tuple()}: {exc}")
+    if outcome.space_solution[3] == 0:
+        return state, EffortExhausted(f"{t.as_tuple()}: d = 0 lifts to a 2-torsion point")
     point = lift_solution(t, curve.m, curve.n, outcome.space_solution)
-    _verify_point(curve, point)
+    if curve.is_torsion(point):
+        return state, EffortExhausted(f"{t.as_tuple()}: {point} is a torsion point")
     return state, (outcome, point)
 
 
@@ -416,18 +406,18 @@ def run_solve(
         "radius_cap": radius_cap,
     }
     if outcome.chain is not None:
-        stats["mu"] = _s(outcome.chain.mu)
-        stats["mu_candidates"] = [_s(v) for v in outcome.chain.mu_candidates]
+        stats["mu"] = str(outcome.chain.mu)
+        stats["mu_candidates"] = [str(v) for v in outcome.chain.mu_candidates]
         stats["completion_used"] = outcome.chain.completion_used
-    stats["parameter"] = [_s(v) for v in outcome.parameter]
+    stats["parameter"] = [str(v) for v in outcome.parameter]
     return {
         "command": "solve",
-        "curve": {"p": _s(p), "q": _s(q), "k": _s(k), "m": _s(m), "n": _s(n)},
-        "triplet": [_s(v) for v in t.as_tuple()],
-        "quadruple": [_s(v) for v in outcome.quadruple],
-        "space_solution": [_s(v) for v in outcome.space_solution],
+        "curve": {"p": str(p), "q": str(q), "k": str(k), "m": str(m), "n": str(n)},
+        "triplet": [str(v) for v in t.as_tuple()],
+        "quadruple": [str(v) for v in outcome.quadruple],
+        "space_solution": [str(v) for v in outcome.space_solution],
         "point": _point_json(point),
-        "concordant": [_s(v) for v in concordant],
+        "concordant": [str(v) for v in concordant],
         "translates": [_point_json(pt) for pt in translates],
         "heights": heights,
         "stats": stats,
@@ -458,8 +448,8 @@ def run_verify(args) -> dict:
         report["checks"].append(
             {
                 "kind": "weierstrass-point",
-                "curve": {"a2": _s(a2), "a4": _s(a4), "a6": _s(a6)},
-                "point": {"x": _s(x), "y": _s(y)},
+                "curve": {"a2": str(a2), "a4": str(a4), "a6": str(a6)},
+                "point": {"x": str(x), "y": str(y)},
                 "valid": ok,
                 "height": _height_str(point_log_height(CurvePoint.affine(x, y))),
             }
@@ -475,13 +465,13 @@ def run_verify(args) -> dict:
         ok = curve.contains(pt)
         entry = {
             "kind": "curve-point",
-            "curve": {"m": _s(curve.m), "n": _s(curve.n)},
+            "curve": {"m": str(curve.m), "n": str(curve.n)},
             "point": _point_json(pt),
             "valid": ok,
             "height": _height_str(point_log_height(pt)),
         }
         if ok and not pt.is_infinity and pt.y != 0:
-            entry["square_classes"] = [_s(c) for c in curve.square_classes(pt)]
+            entry["square_classes"] = [str(c) for c in curve.square_classes(pt)]
             entry["torsion"] = curve.is_torsion(pt)
         report["checks"].append(entry)
     elif args.quadruple:
@@ -490,9 +480,9 @@ def run_verify(args) -> dict:
         ok = res == (0, 0)
         entry = {
             "kind": "concordant-quadruple",
-            "curve": {"m": _s(curve.m), "n": _s(curve.n)},
-            "quadruple": [_s(v) for v in quad],
-            "residues": [_s(r) for r in res],
+            "curve": {"m": str(curve.m), "n": str(curve.n)},
+            "quadruple": [str(v) for v in quad],
+            "residues": [str(r) for r in res],
             "valid": ok,
             "height": _height_str(log_height(quad)),
         }
@@ -500,7 +490,7 @@ def run_verify(args) -> dict:
             pt = curve.from_quadric(quad)
             entry["point"] = _point_json(pt)
             if not pt.is_infinity and pt.y != 0:
-                entry["square_classes"] = [_s(c) for c in curve.square_classes(pt)]
+                entry["square_classes"] = [str(c) for c in curve.square_classes(pt)]
         report["checks"].append(entry)
     else:
         raise InvalidArgument("verify needs --point or --quadruple")
@@ -566,23 +556,23 @@ def _series_row(family, p, q, k, t, status, outcome=None, curve=None, point=None
     row = {c: "" for c in SERIES_COLUMNS}
     row.update(
         family=family,
-        p=_s(p),
-        q=_s(q),
-        k=_s(k),
-        triplet=";".join(_s(v) for v in t.as_tuple()),
+        p=str(p),
+        q=str(q),
+        k=str(k),
+        triplet=";".join(str(v) for v in t.as_tuple()),
         status=status,
     )
     if outcome is not None:
         row["method"] = outcome.method
         row["pairs_tested"] = str(outcome.pairs_tested)
-        row["rho0"], row["rho1"] = (_s(v) for v in outcome.parameter)
+        row["rho0"], row["rho1"] = (str(v) for v in outcome.parameter)
         if outcome.chain is not None:
-            row["mu"] = _s(outcome.chain.mu)
+            row["mu"] = str(outcome.chain.mu)
     if point is not None and curve is not None:
         w = curve.to_quadric(point)
         if curve.quadric_residues(w) != (0, 0):
             raise InvalidArgument("series row failed re-verification")
-        row["w0"], row["w1"], row["w2"], row["w3"] = (_s(v) for v in w)
+        row["w0"], row["w1"], row["w2"], row["w3"] = (str(v) for v in w)
         row["height_w"] = _height_str(log_height(w))
     return row
 
@@ -630,7 +620,9 @@ def _theta96_rows(family, p, q, k, curve, radius_cap):
     if len(points) == 2:
         total = curve.add(points[0], points[1])
         t3 = DescentTriplet(2, -6, -3)
-        _verify_point(curve, total)
+        # is_torsion raises for a point off the curve
+        if curve.is_torsion(total):
+            raise InvalidArgument(f"{total} is a torsion point")
         # x+M, x, x+N over t3's entries must be rational squares: a test
         # that factors nothing, however large the sum's coordinates
         x = total.x
@@ -712,8 +704,8 @@ def run_reproduce(fixture: Fixture) -> dict:
     report = {
         "command": "reproduce",
         "fixture": fixture.name,
-        "curve": {"p": _s(p), "q": _s(q), "k": _s(k), "m": _s(m), "n": _s(n)},
-        "triplet": [_s(v) for v in t.as_tuple()],
+        "curve": {"p": str(p), "q": str(q), "k": str(k), "m": str(m), "n": str(n)},
+        "triplet": [str(v) for v in t.as_tuple()],
         "stages": diffs,
     }
 

@@ -130,8 +130,7 @@ class SquareClasses:
         self.generators = generators
         self._neg = 1 << generators.index(-1)
         self._primes = [(1 << i, g) for i, g in enumerate(generators) if g > 1]
-        # memos: value -> vector and vector -> value
-        self._vectors: dict[int, int] = {}
+        # memo: vector -> value
         self._values: dict[int, int] = {}
         # bit of each odd prime p -> mask of the generators g != p with (g/p) = -1
         self._nonresidues = {
@@ -147,9 +146,6 @@ class SquareClasses:
 
     def vector(self, value: int) -> int:
         """Exponent parities of a nonzero value whose primes are generators."""
-        vec = self._vectors.get(value)
-        if vec is not None:
-            return vec
         if value == 0:
             raise InvalidArgument("0 has no square class")
         vec = self._neg if value < 0 else 0
@@ -160,7 +156,6 @@ class SquareClasses:
                 vec ^= bit
         if rest != 1:
             raise InvalidArgument(f"{value} has a prime outside {self.generators}")
-        self._vectors[value] = vec
         return vec
 
     def value(self, vec: int) -> int:
@@ -217,10 +212,11 @@ class SolvabilityTable(SquareClasses):
         super().__init__(generators)
         self._m, self._n, self._d = self.vector(m), self.vector(n), self.vector(m - n)
 
-    def verdict(self, t: DescentTriplet) -> tuple[bool, str]:
-        """(verdict, evidence) for one triplet, as in `triplet_solvable`:
+    def verdict(self, va: int, vb: int) -> tuple[bool, str]:
+        """(verdict, evidence) for the triplet whose A and B have the vectors
+        va and vb, as in `triplet_solvable`: C has the vector va ^ vb, and
         each quadric's parity bitmasks go through `reduced`."""
-        va, vb, vc = self.vector(t.a), self.vector(t.b), self.vector(t.c)
+        vc = va ^ vb
         vm, vn, vd, neg = self._m, self._n, self._d, self._neg
         # build_homogeneous_space's coefficients, in HomogeneousSpace.quadrics order
         quadrics = (
@@ -357,7 +353,8 @@ def triplet_solvable(t: DescentTriplet, m: int, n: int) -> tuple[bool, str]:
     generators = {-1, 2}
     for value in (m, n, m - n, *t.as_tuple()):
         generators |= _prime_divisors(value)
-    return SolvabilityTable(sorted(generators), m, n).verdict(t)
+    table = SolvabilityTable(sorted(generators), m, n)
+    return table.verdict(table.vector(t.a), table.vector(t.b))
 
 
 @dataclass
@@ -366,9 +363,6 @@ class Classification:
     triplet, the 2-torsion equivalence classes with per-member verdicts, and
     the surviving candidates (torsion class excluded)."""
 
-    p: int
-    q: int
-    k: int
     generators: list[int]
     group_size: int
     triplets: list[DescentTriplet]
@@ -419,8 +413,10 @@ def classify(p: int, q: int, k: int) -> Classification:
         orbit = {key, *(key ^ move for move in moves)}
         seen |= orbit
         # an image with A < 0, when m or m - n is negative, raises in triplet
-        members = sorted((by_key.get(w) or triplet(w) for w in orbit), key=DescentTriplet.sort_key)
-        verdicts = [(t, *table.verdict(t)) for t in members]
+        found = {w: by_key.get(w) or triplet(w) for w in orbit}
+        ordered = sorted(orbit, key=lambda w: found[w].sort_key())
+        members = [found[w] for w in ordered]
+        verdicts = [(found[w], *table.verdict(w & mask, w >> width)) for w in ordered]
         classes.append(
             {
                 "members": members,
@@ -430,7 +426,7 @@ def classify(p: int, q: int, k: int) -> Classification:
                 "survives": all(ok for _, ok, _ in verdicts),
             }
         )
-    return Classification(p, q, k, generators, 2**width, list(by_key.values()), classes)
+    return Classification(generators, 2**width, list(by_key.values()), classes)
 
 
 def lift_solution(

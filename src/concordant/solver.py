@@ -404,16 +404,20 @@ def kernel_cross_term(kernel: Triple, psi: ConicParametrization) -> int:
     return sum(c * m for c, m in zip(kernel, mid))
 
 
+def _row_discs(psi: ConicParametrization) -> Optional[list[int]]:
+    """disc = r1^2 - 4*r0*r2 of each row, or None when a row keeps no square
+    factor: disc = 0, or r0 = 0, where the 4*r0 identity of
+    `_solvable_square_factors` fails."""
+    discs = [r1 * r1 - 4 * r0 * r2 for r0, r1, r2 in psi.rows[:2]]
+    return None if 0 in [row[0] * disc for row, disc in zip(psi.rows, discs)] else discs
+
+
 def _row_primes(psi: ConicParametrization) -> set[int]:
     """The primes of each row's disc and r0, the values whose square classes
-    `_solvable_square_factors` reads beside mu.  A degenerate row (disc = 0)
-    keeps no square factor, so it needs none and gets the empty set."""
-    rows = psi.rows[:2]
-    discs = [r1 * r1 - 4 * r0 * r2 for r0, r1, r2 in rows]
-    if 0 in discs:
-        return set()
+    `_solvable_square_factors` reads beside mu; none for a degenerate row
+    (see `_row_discs`), which keeps no square factor."""
     primes = set()
-    for row, disc in zip(rows, discs):
+    for row, disc in zip(psi.rows, _row_discs(psi) or ()):
         primes.update(factorize(disc).primes(), factorize(row[0]).primes())
     return primes
 
@@ -427,13 +431,12 @@ def _solvable_square_factors(
     4*r0*mu*Z2^2 with U = 2*r0*Z0 + r1*Z1 and disc = r1^2 - 4*r0*r2, so the
     criterion reads only the square classes (1, -disc, -r0*mu), and one
     table over -1, `primes` and `row_primes` (see `_row_primes`) decides
-    every mu.  A degenerate row (disc = 0) keeps nothing."""
-    rows = psi.rows[:2]
-    discs = [r1 * r1 - 4 * r0 * r2 for r0, r1, r2 in rows]
-    if 0 in discs:
+    every mu.  A degenerate row (see `_row_discs`) keeps nothing."""
+    discs = _row_discs(psi)
+    if discs is None:
         return []
     squares = SquareClasses(sorted({-1, *primes, *row_primes}))
-    fixed = [(squares.vector(-disc), squares.vector(-row[0])) for row, disc in zip(rows, discs)]
+    fixed = [(squares.vector(-d), squares.vector(-row[0])) for row, d in zip(psi.rows, discs)]
     cores = [1]
     for p in primes:
         cores += [c * p for c in cores]

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import multiprocessing
@@ -94,6 +95,13 @@ class TestClassifyCommand:
 
     def test_usage_error_without_curve(self):
         assert main(["classify"]) == EXIT_USAGE
+
+    def test_report_bytes_are_pinned(self):
+        # 2048 triplets in 512 classes, one of them a survivor
+        report = run_classify(1, 1, 17 * 19 * 23 * 29)
+        text = json.dumps(report, sort_keys=True, indent=2)
+        digest = "535d8f9b5e8a0322b0f8d97be3e560895a56ef740a1ed38653fc02f594b23f51"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_reader_that_closes_stdout(self):
         # 2.9 MB of text; the reader keeps the first line, as `| head -1` does
@@ -273,6 +281,41 @@ class TestSolveCommand:
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "mu=17 is not among the candidates [1, -1] or the completion factors [5, -5]" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # k = 1 with q and p + q squares: each curve has a rational
+            # 4-torsion point, which one class's search hits
+            ("--p 3 --q 1 --k 1", "effort exhausted: "),
+            ("--p 8 --q 1 --k 1", "effort exhausted: "),
+            ("--p 5 --q 4 --k 1", "effort exhausted: "),
+            ("--p 3 --q 1 --k 1 --triplet 2,-1,-2", "(2, -1, -2): (-1, -2) is a torsion point"),
+            (
+                "--p 1 --q 3 --k 142 --triplet 1,1,1 --radius-cap 30",
+                "(1, 1, 1): d = 0 lifts to a 2-torsion point",
+            ),
+        ],
+        ids=["3-1-1", "8-1-1", "5-4-1", "3-1-1-class", "1-3-142-d-zero"],
+    )
+    def test_torsion_hit_ends_its_class(self, capsys, flags, message):
+        argv = ["solve", "--radius-cap", "100", *flags.split()]
+        assert main(argv) == EXIT_EXHAUSTED
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k, code", [("5", EXIT_OK), ("142", EXIT_EXHAUSTED)])
+    def test_psi_row_without_square_term(self, capsys, k, code):
+        # the torsion class (k, -1, -k) has a psi row (0, -k, 0): with no
+        # s^2 term it keeps no square factor, and the weak search runs
+        argv = ["solve", "--p", "1", "--q", "1", "--k", k, "--triplet", f"{k},-1,-{k}"]
+        assert main(argv + ["--radius-cap", "100", "--format", "json"]) == code
+        out, err = capsys.readouterr()
+        if code == EXIT_OK:
+            report = json.loads(out)
+            assert report["stats"]["method"] == "weak"
+            assert report["point"] == {"x": "-3600/1681", "y": "-455700/68921"}
+        else:
+            assert "effort exhausted: weak search schedule exhausted" in err
 
 
 class TestOptimizedInterpreter:

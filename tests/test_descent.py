@@ -283,7 +283,8 @@ class TestSolvabilityTable:
             for _ in range(12):
                 a, b = rng.choice(positives), rng.choice(group)
                 t = DescentTriplet(a, b, class_mul(a, b))
-                assert table.verdict(t) == oracle_triplet_solvable(t, m, n), (p, q, k, t)
+                verdict = table.verdict(table.vector(t.a), table.vector(t.b))
+                assert verdict == oracle_triplet_solvable(t, m, n), (p, q, k, t)
 
     @pytest.mark.parametrize("m, n", [(3, -5), (12, -4), (-7, 21)])
     def test_public_filter_off_the_curve_shape(self, m, n):

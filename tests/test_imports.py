@@ -1,6 +1,10 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+importing the CLI loads no more than a serial run needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +37,12 @@ def test_every_import_is_used(path):
 def test_sees_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\nprint(path)\n")
     assert _unused_imports(tree) == {"math": 1, "sep": 2}
+
+
+def test_cli_leaves_the_process_machinery_unimported():
+    # only a run with more than one worker opens a pool, and it imports
+    # multiprocessing then
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    script = "import sys, concordant.cli; sys.exit('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
